@@ -1,10 +1,20 @@
 """End-to-end analysis of one collision-model run.
 
-Pipeline: evolve the physical state and the four tomography probes, rebuild
-the cumulative maps from the probe Bloch vectors, form the single-step maps
-by inverse composition, and evaluate every witness per collision. Record n
-describes collision n (the step from state n-1 to state n); its ``delta_i``
-is the QMI change realized by that collision.
+Pipeline: evolve the physical state and the four tomography probes together,
+collision by collision; then analyze all collisions in one array pass. The
+pass reads the cumulative maps (M_n, c_n) off the probe Bloch vectors as
+stacks, inverts every predecessor M_{n-1} at once (the determinant and
+condition scan finds the first singular step), composes the single-step
+maps in batch, converts them to superoperators and Choi matrices by reshape
+and transpose, and takes one Hermitian eigendecomposition of the whole Choi
+stack for g_n and the minimum Choi eigenvalue. The KDQ non-positivity N_q,
+the phase covariant entries, the CP margins and <dE> are elementwise array
+expressions. Record n describes collision n (the step from state n-1 to
+state n); its ``delta_i`` is the QMI change realized by that collision.
+
+The per-collision routes (``time_local_map``, ``affine_to_superoperator``,
+``kdq_general``, ``rhp_increment``) stay public as the reference the batched
+pass is tested against.
 """
 
 import time
@@ -14,9 +24,10 @@ import numpy as np
 
 from . import engine, tomography, witnesses
 from .engine import RunConfig, Trajectory
+from .linalg import HERMITICITY_TOL, _require_hermitian
 from .model import SIGMA_X, SIGMA_Y, SIGMA_Z, probe_states
-from .tomography import AffineBlochMap, SingularMapError
-from .witnesses import EnergyBasis, WitnessRecord
+from .tomography import AffineBlochMap, SingularMapError, _off_pattern_residual
+from .witnesses import WitnessRecord
 
 
 @dataclass(frozen=True)
@@ -62,66 +73,79 @@ def probe_bloch_history(probes) -> np.ndarray:
 
 def reconstruct_map_family(probes) -> list[AffineBlochMap]:
     """Cumulative affine maps from the probe trajectories."""
-    blochs = probe_bloch_history(probes)
-    return [tomography.reconstruct_affine(blochs[n]) for n in range(blochs.shape[0])]
+    return tomography.reconstruct_affine(probe_bloch_history(probes)).unstack()
+
+
+def _witness_columns(sops: np.ndarray, rho_pre: np.ndarray,
+                     delta_i: np.ndarray, omega_s: float) -> list[np.ndarray]:
+    """Per-collision witness values of a stack of step maps, as arrays.
+
+    ``sops`` are the (n, 4, 4) superoperators of the step maps, ``rho_pre``
+    the (n, 2, 2) states they act on and ``delta_i`` the n QMI increments.
+    The columns come in the field order of WitnessRecord after ``n``. The
+    energy basis is the computational one, so each KDQ value
+    q[in, fin] = Tr[Pi_fin Lambda[Pi_in rho]] is a sum of two products.
+    """
+    w = np.linalg.eigvalsh(_require_hermitian(
+        tomography.choi(sops), HERMITICITY_TOL, "Choi matrices of the step maps"))
+    r00, r01 = rho_pre[:, 0, 0], rho_pre[:, 0, 1]
+    r10, r11 = rho_pre[:, 1, 0], rho_pre[:, 1, 1]
+    q00 = sops[:, 0, 0] * r00 + sops[:, 0, 1] * r01
+    q01 = sops[:, 3, 0] * r00 + sops[:, 3, 1] * r01
+    q10 = sops[:, 0, 2] * r10 + sops[:, 0, 3] * r11
+    q11 = sops[:, 3, 2] * r10 + sops[:, 3, 3] * r11
+    a, b = sops[:, 0, 0].real, sops[:, 0, 3].real
+    c, d = sops[:, 1, 1], sops[:, 1, 2]
+    p0, p1 = r00.real, r11.real
+    return [p0, p1, a, b, c, d, _off_pattern_residual(sops),
+            np.abs(q00) + np.abs(q01) + np.abs(q10) + np.abs(q11) - 1.0,  # N_q
+            np.abs(w).sum(axis=1) / 2.0 - 1.0,                            # g_n
+            delta_i,
+            omega_s * ((a - 1.0) * p0 + b * p1),                          # <dE>
+            a * (1.0 - b) - np.abs(c) ** 2,
+            b * (1.0 - a) - np.abs(d) ** 2,
+            w[:, 0]]                                          # min Choi eigenvalue
 
 
 def analyze(config: RunConfig) -> RunResult:
     """Run the full pipeline for one configuration.
 
-    Raises SingularMapError (with the offending step index and the partially
-    analyzed result attached as ``partial_result``) when a cumulative map
-    cannot be inverted.
+    Raises SingularMapError when a cumulative map cannot be inverted, and
+    engine.InvariantDriftError when a state leaves the density-matrix
+    invariants. Either error carries the offending collision as ``step`` and
+    the result analyzed up to the collision before it as ``partial_result``;
+    when both occur, the earlier step is reported.
     """
     t_start = time.perf_counter()
     tol = config.tolerances
-    batch = engine.evolve_batch(
-        config,
-        np.concatenate([config.initial_system[np.newaxis],
-                        np.stack(probe_states())]))
+    error: SingularMapError | engine.InvariantDriftError | None = None
+    try:
+        batch = engine.evolve_batch(
+            config,
+            np.concatenate([config.initial_system[np.newaxis],
+                            np.stack(probe_states())]))
+    except engine.InvariantDriftError as exc:
+        batch, error = exc.trajectories, exc
     physical, probes = batch[0], tuple(batch[1:])
 
-    maps = reconstruct_map_family(probes)
-    sops_cum = [tomography.affine_to_superoperator(m) for m in maps]
-    delta_i, i_lfs = witnesses.lfs_series(
-        [tomography.choi(s) for s in sops_cum], tol_pos=tol.tol_pos)
-
-    basis = EnergyBasis(omega_s=config.spins.omega_s)
-    records: list[WitnessRecord] = []
-    error: SingularMapError | None = None
-    for n in range(1, config.n_max + 1):
-        try:
-            step_map = tomography.time_local_map(
-                maps[n], maps[n - 1], cond_threshold=tol.cond_threshold,
-                det_floor=tol.singular_det, step=n)
-        except SingularMapError as exc:
-            error = exc
-            break
-        sop = tomography.affine_to_superoperator(step_map)
-        entries = tomography.extract_phase_covariant(sop, tol=tol.tol_pos)
-        j_mat = tomography.choi(sop)
-        choi_min = float(np.linalg.eigvalsh((j_mat + j_mat.conj().T) / 2)[0])
-        g_n = witnesses.rhp_increment(j_mat)
-
-        rho_pre = physical.system_states[n - 1]
-        p0 = float(rho_pre[0, 0].real)
-        p1 = float(rho_pre[1, 1].real)
-        n_q = witnesses.nonpositivity(witnesses.kdq_general(sop, rho_pre, basis))
-        _, margins = witnesses.cp_conditions(entries)
-
-        records.append(WitnessRecord(
-            n=n, p0=p0, p1=p1,
-            a=entries.a, b=entries.b, c=entries.c, d=entries.d,
-            residual=entries.off_pattern_residual,
-            n_q=n_q, g_n=g_n, delta_i=float(delta_i[n - 1]),
-            avg_de=witnesses.avg_energy_change(entries, p0, p1,
-                                               config.spins.omega_s),
-            c_abs2_margin=margins.c_margin, d_abs2_margin=margins.d_margin,
-            choi_min_eig=choi_min))
+    family = tomography.reconstruct_affine(probe_bloch_history(probes))
+    delta_i, _ = witnesses.lfs_series(
+        tomography.choi(tomography.affine_to_superoperator(family)),
+        tol_pos=tol.tol_pos)
+    steps, singular = tomography.time_local_family(
+        family, cond_threshold=tol.cond_threshold, det_floor=tol.singular_det)
+    if singular is not None:
+        error = singular
+    sops = tomography.affine_to_superoperator(steps)
+    n = len(sops)
+    columns = _witness_columns(sops, physical.system_states[:n], delta_i[:n],
+                               config.spins.omega_s)
+    records = [WitnessRecord(*row) for row in
+               zip(range(1, n + 1), *(col.tolist() for col in columns))]
 
     result = RunResult(
-        config=config, physical=physical, probes=probes, maps=maps,
-        records=records,
+        config=config, physical=physical, probes=probes,
+        maps=family.unstack(), records=records,
         summary=summarize(records, n_max=config.n_max, tol_pos=tol.tol_pos),
         elapsed=time.perf_counter() - t_start)
     if error is not None:
@@ -131,7 +155,10 @@ def analyze(config: RunConfig) -> RunResult:
 
 
 def summarize(records, n_max: int, tol_pos: float = 1e-10) -> RunSummary:
-    """Reduce per-collision records to run-level measures and indices."""
+    """Reduce per-collision records to run-level measures and indices.
+
+    I_RHP, I_LFS and sum N_q all add up the values that exceed ``tol_pos``.
+    """
     nq = np.array([r.n_q for r in records])
     g = np.array([r.g_n for r in records])
     steps = np.array([r.n for r in records])
@@ -150,7 +177,7 @@ def summarize(records, n_max: int, tol_pos: float = 1e-10) -> RunSummary:
                                >= -tol_pos)))
     return RunSummary(
         n_max=n_max,
-        i_rhp=witnesses.rhp_measure(g) if records else 0.0,
+        i_rhp=witnesses.rhp_measure(g, tol_pos=tol_pos) if records else 0.0,
         i_lfs=float(delta_i[delta_i > tol_pos].sum()) if records else 0.0,
         sum_nq=float(nq[nq > tol_pos].sum()) if records else 0.0,
         first_nq_positive=first_nq, last_nq_positive=last_nq,

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import RunResult, analyze
-from .engine import RunConfig, Tolerances
+from .engine import InvariantDriftError, RunConfig, Tolerances
 from .model import ANISOTROPIC, ISOTROPIC, CouplingParams, SpinParams, ThermalSpec
 from .tomography import SingularMapError
 
@@ -171,6 +171,10 @@ def _validate(values: dict) -> dict:
             raise InvalidValueError(
                 "grid_min" if grid_min < lo else "grid_max",
                 f"{v['kind']} grid must stay within [{lo}, {hi}]")
+        if v["kind"] == DETUNING_SWEEP and v["omega_m"] + grid_min <= 0:
+            raise InvalidValueError(
+                "grid_min", f"omega_s = omega_m + grid_min = "
+                            f"{v['omega_m'] + grid_min:g} must be > 0")
         v["grid"] = np.linspace(grid_min, grid_max, v["grid_points"])
     else:
         v["grid"] = None
@@ -187,9 +191,9 @@ def load_config(path=None, cli_overrides: dict | None = None) -> ExperimentSpec:
     values.update(cli_overrides or {})
     v = _validate(values)
 
-    spins = SpinParams(omega_s=v["omega_s"], omega_m=v["omega_m"],
-                       omega_a=v["omega_a"])
     try:
+        spins = SpinParams(omega_s=v["omega_s"], omega_m=v["omega_m"],
+                           omega_a=v["omega_a"])
         couplings = CouplingParams(
             g_sm=v["g_sm"], g_ma=v["g_ma"], tau1=v["tau1"], tau2=v["tau2"],
             gamma=v["gamma"], sm_interaction_kind=v["sm_kind"],
@@ -211,10 +215,9 @@ def _fmt(x: float) -> str:
 
 
 def _collision_row(record, omega_s: float) -> str:
-    de_over_omega = record.avg_de / omega_s if omega_s != 0.0 else 0.0
     values = (record.p0, record.p1, record.a, record.b,
               record.c.real, record.c.imag, record.d.real, record.d.imag,
-              record.n_q, record.g_n, record.delta_i, de_over_omega,
+              record.n_q, record.g_n, record.delta_i, record.avg_de / omega_s,
               record.choi_min_eig, record.residual)
     return f"{record.n}," + ",".join(_fmt(x) for x in values)
 
@@ -231,7 +234,8 @@ def _params_dict(config: RunConfig) -> dict:
     }
 
 
-def _summary_dict(result: RunResult, error: SingularMapError | None = None) -> dict:
+def _summary_dict(result: RunResult,
+                  error: SingularMapError | InvariantDriftError | None = None) -> dict:
     s = result.summary
     payload = {"schema": SCHEMA_VERSION, "kind": SINGLE_RUN,
                "params": _params_dict(result.config)}
@@ -247,12 +251,17 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def run_single(spec: ExperimentSpec, quiet: bool = False) -> int:
-    """Execute one run and emit collisions.csv / summary.json."""
+    """Execute one run and emit collisions.csv / summary.json.
+
+    A singular map or invariant drift stops the analysis at its step; the
+    rows before it are still written, the summary names the error, and the
+    exit code is 2.
+    """
     spec.output_dir.mkdir(parents=True, exist_ok=True)
     error = None
     try:
         result = analyze(spec.base)
-    except SingularMapError as exc:
+    except (SingularMapError, InvariantDriftError) as exc:
         error = exc
         result = exc.partial_result
 
@@ -268,7 +277,7 @@ def run_single(spec: ExperimentSpec, quiet: bool = False) -> int:
         s = result.summary
         print(f"run: {len(result.records)} collisions analyzed; "
               f"I_RHP={s.i_rhp:.6g} I_LFS={s.i_lfs:.6g} sum_Nq={s.sum_nq:.6g}"
-              + (f"; SINGULAR at step {error.step}" if error else ""),
+              + (f"; stopped at step {error.step}: {error}" if error else ""),
               file=sys.stderr)
     return 2 if error else 0
 

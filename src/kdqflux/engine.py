@@ -22,6 +22,19 @@ from .linalg import partial_trace
 DRIFT_TOL = 1e-8
 
 
+class InvariantDriftError(RuntimeError):
+    """A density-matrix invariant drifted beyond tolerance at collision ``step``.
+
+    ``evolve_batch`` attaches ``trajectories``: the recorded states before
+    that collision, so a caller can still analyze the valid prefix.
+    """
+
+    def __init__(self, message: str, step: int | None = None):
+        self.step = step
+        self.trajectories: list[Trajectory] | None = None
+        super().__init__(message)
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Numerical thresholds shared by the engine and the analysis chain."""
@@ -89,16 +102,38 @@ def collision_step(rho_sm: np.ndarray, unitaries: tuple[np.ndarray, np.ndarray],
     return out
 
 
-def _step_batch(rho_sm: np.ndarray, u_sm: np.ndarray, u_ma: np.ndarray,
+# The collision step keeps its stack of k joint states in the layout
+# [row, state, column], shape (4, k, 4) for S-M and (8, k, 8) with the
+# environment qubit, so that each unitary product over the whole stack is a
+# single 2-D matrix product.
+
+def _with_env(rho_sm: np.ndarray, env_state: np.ndarray) -> np.ndarray:
+    """rho_sm (x) env_state for every state of a (4, k, 4) stack."""
+    k = rho_sm.shape[1]
+    return (rho_sm[:, np.newaxis, :, :, np.newaxis]
+            * env_state[:, np.newaxis, np.newaxis, :]).reshape(8, k, 8)
+
+
+def _trace_env(x: np.ndarray) -> np.ndarray:
+    """Partial trace over the environment qubit of a (8, k, 8) stack."""
+    x = x.reshape(4, 2, -1, 4, 2)
+    return x[:, 0, :, :, 0] + x[:, 1, :, :, 1]
+
+
+def _conjugate(u: np.ndarray, u_dag: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(u @ x_i) @ u_dag for every state x_i of a (8, k, 8) stack."""
+    k = x.shape[1]
+    return ((u @ x.reshape(8, 8 * k)).reshape(8 * k, 8) @ u_dag).reshape(8, k, 8)
+
+
+def _step_batch(rho_sm: np.ndarray, u_sm: np.ndarray, u_sm_dag: np.ndarray,
+                u_ma: np.ndarray, u_ma_dag: np.ndarray,
                 env_state: np.ndarray) -> np.ndarray:
     """One collision applied to a batch of joint states, shape (k, 4, 4)."""
-    k = rho_sm.shape[0]
-    x = np.einsum("nij,kl->nikjl", rho_sm, env_state).reshape(k, 8, 8)
-    x = u_sm @ x @ u_sm.conj().T
-    sm = np.einsum("naibi->nab", x.reshape(k, 4, 2, 4, 2))
-    y = np.einsum("nij,kl->nikjl", sm, env_state).reshape(k, 8, 8)
-    y = u_ma @ y @ u_ma.conj().T
-    return np.einsum("naibi->nab", y.reshape(k, 4, 2, 4, 2))
+    x = rho_sm.transpose(1, 0, 2)
+    sm = _trace_env(_conjugate(u_sm, u_sm_dag, _with_env(x, env_state)))
+    out = _trace_env(_conjugate(u_ma, u_ma_dag, _with_env(sm, env_state)))
+    return out.transpose(1, 0, 2)
 
 
 def _check_states(stack: np.ndarray, drift_tol: float, collision: int | None):
@@ -108,16 +143,17 @@ def _check_states(stack: np.ndarray, drift_tol: float, collision: int | None):
     min_eig = np.linalg.eigvalsh(stack).min()
     if herm > drift_tol or tr > drift_tol or min_eig < -drift_tol:
         where = "" if collision is None else f" at collision {collision}"
-        raise RuntimeError(
+        raise InvariantDriftError(
             f"density-matrix invariants violated{where}: "
-            f"hermiticity {herm:.2e}, trace {tr:.2e}, min eigenvalue {min_eig:.2e}")
+            f"hermiticity {herm:.2e}, trace {tr:.2e}, min eigenvalue {min_eig:.2e}",
+            step=collision)
 
 
-def _check_history(joint: np.ndarray, drift_tol: float):
+def _check_history(joint: np.ndarray, drift_tol: float) -> InvariantDriftError | None:
     """Vectorized invariant check over a (n+1, k, 4, 4) history.
 
-    Raises with the first offending collision index so numerical drift is
-    attributable to a step.
+    Returns the error of the first offending collision, so numerical drift
+    is attributable to a step, or None when every state is valid.
     """
     k = joint.shape[1]
     flat = joint.reshape(-1, 4, 4)
@@ -128,10 +164,11 @@ def _check_history(joint: np.ndarray, drift_tol: float):
     if bad.any():
         first = int(np.argmax(bad))
         n = first // k
-        raise RuntimeError(
+        return InvariantDriftError(
             f"density-matrix invariants violated at collision {n}: "
             f"hermiticity {herm[first]:.2e}, trace {tr[first]:.2e}, "
-            f"min eigenvalue {min_eig[first]:.2e}")
+            f"min eigenvalue {min_eig[first]:.2e}", step=n)
+    return None
 
 
 def evolve_batch(config: RunConfig, initial_systems: np.ndarray,
@@ -140,8 +177,9 @@ def evolve_batch(config: RunConfig, initial_systems: np.ndarray,
 
     ``initial_systems`` has shape (k, 2, 2). All trajectories see the same
     unitaries and the same fresh thermal environment each collision. The
-    invariant checks run vectorized over the recorded history and report the
-    first offending collision index.
+    invariant checks run vectorized over the recorded history; a violation
+    raises InvariantDriftError with the first offending collision as
+    ``step`` and the trajectories truncated before it attached.
     """
     initial_systems = np.asarray(initial_systems, dtype=complex)
     k = initial_systems.shape[0]
@@ -151,13 +189,22 @@ def evolve_batch(config: RunConfig, initial_systems: np.ndarray,
 
     joint = np.empty((config.n_max + 1, k, 4, 4), dtype=complex)
     joint[0] = np.einsum("nij,kl->nikjl", initial_systems, rho_m).reshape(k, 4, 4)
+    u_sm_dag, u_ma_dag = u_sm.conj().T, u_ma.conj().T
     for n in range(1, config.n_max + 1):
-        joint[n] = _step_batch(joint[n - 1], u_sm, u_ma, rho_a)
+        joint[n] = _step_batch(joint[n - 1], u_sm, u_sm_dag, u_ma, u_ma_dag,
+                               rho_a)
 
-    _check_history(joint, config.tolerances.drift)
+    error = _check_history(joint, config.tolerances.drift)
+    if error is not None:
+        error.trajectories = _trajectories(joint[:error.step], keep_joint)
+        raise error
+    return _trajectories(joint, keep_joint)
 
-    system = np.einsum("nkaibi->nkab",
-                       joint.reshape(config.n_max + 1, k, 2, 2, 2, 2))
+
+def _trajectories(joint: np.ndarray, keep_joint: bool) -> list[Trajectory]:
+    """Split a (n+1, k, 4, 4) joint history into k trajectories."""
+    n1, k = joint.shape[:2]
+    system = np.einsum("nkaibi->nkab", joint.reshape(n1, k, 2, 2, 2, 2))
     return [Trajectory(system_states=np.ascontiguousarray(system[:, i]),
                        joint_states=np.ascontiguousarray(joint[:, i]) if keep_joint else None)
             for i in range(k)]

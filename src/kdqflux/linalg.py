@@ -77,11 +77,14 @@ def partial_trace(m: np.ndarray, dims: Sequence[int], keep) -> np.ndarray:
 
 
 def _require_hermitian(m: np.ndarray, tol: float, what: str) -> np.ndarray:
-    dev = float(np.max(np.abs(m - m.conj().T)))
+    """Hermitian part of a matrix or a (..., d, d) stack, after checking that
+    no entry of any member deviates from it by more than ``tol``."""
+    m_dag = m.conj().swapaxes(-1, -2)
+    dev = float(np.max(np.abs(m - m_dag), initial=0.0))
     if dev > tol:
         raise ValueError(f"{what}: input is not Hermitian (max deviation {dev:.3e})")
     # symmetrize round-off so eigh sees an exactly Hermitian matrix
-    return (m + m.conj().T) / 2
+    return (m + m_dag) / 2
 
 
 def hermitian_eig(m: np.ndarray, tol: float = HERMITICITY_TOL) -> HermitianEigen:

@@ -44,6 +44,9 @@ class SpinParams:
         for name in ("omega_s", "omega_m", "omega_a"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        if self.omega_s <= 0:
+            # at omega_s = 0 the energy basis of the KDQ witness is degenerate
+            raise ValueError(f"omega_s={self.omega_s:g} must be > 0")
 
 
 @dataclass(frozen=True)

@@ -205,7 +205,11 @@ def lfs_series(chois: Sequence[np.ndarray], tol_pos: float = 1e-10,
     return delta_i, i_lfs
 
 
-def rhp_measure(g_values: Sequence[float]) -> float:
-    """Cumulative RHP measure: sum of positive increments g_n over the run."""
+def rhp_measure(g_values: Sequence[float], tol_pos: float = 1e-10) -> float:
+    """Cumulative RHP measure: sum of the increments g_n above ``tol_pos``.
+
+    The threshold is the one I_LFS and sum N_q use, so round-off increments
+    of a CP-divisible run count as zero in all three measures.
+    """
     g = np.asarray(g_values, dtype=float)
-    return float(np.clip(g, 0.0, None).sum())
+    return float(g[g > tol_pos].sum())

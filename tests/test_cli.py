@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 
 from kdqflux.cli import (COLLISION_HEADER, SWEEP_HEADER, ExperimentSpec,
                          InvalidValueError, MissingKeyError, load_config,
-                         main, parse_overrides, sweep_point_config)
+                         main, parse_overrides, run_single,
+                         sweep_point_config)
+from kdqflux.engine import Tolerances
 from kdqflux.model import ANISOTROPIC
 
 SWAP_TAU = np.pi / (2 * 0.2)
@@ -245,3 +248,40 @@ def test_experiment_spec_is_frozen(tmp_path):
     assert isinstance(spec, ExperimentSpec)
     with pytest.raises(Exception):
         spec.kind = "other"
+
+
+def test_run_rejects_non_positive_system_frequency(tmp_path):
+    out = tmp_path / "zero"
+    assert main(["run", "--set", "omega_s=0", "--out", str(out), "--quiet"]) == 1
+    assert not out.exists()
+
+
+def test_detuning_sweep_rejects_grid_reaching_zero_frequency(tmp_path):
+    # omega_m + grid_min = -0.3: rejected before any grid point runs
+    out = tmp_path / "degenerate"
+    assert main(["sweep", "--set", "kind=detuning_sweep",
+                 "--set", "omega_m=0.2", "--set", "grid_points=3",
+                 "--set", "n_max=4", "--out", str(out), "--quiet"]) == 1
+    assert not out.exists()
+    with pytest.raises(InvalidValueError):
+        load_config(None, {"kind": "detuning_sweep", "omega_m": 0.5,
+                           "grid_min": -0.5})
+    spec = load_config(None, {"kind": "detuning_sweep", "omega_m": 0.5,
+                              "grid_min": -0.4})
+    assert spec.base.spins.omega_m + spec.grid.min() > 0
+
+
+def test_run_drift_flushes_partial_output_and_exits_2(tmp_path):
+    spec = load_config(None, {"n_max": 200})
+    spec = dataclasses.replace(
+        spec, output_dir=tmp_path / "drift",
+        base=dataclasses.replace(spec.base, tolerances=Tolerances(drift=1e-14)))
+    assert run_single(spec, quiet=True) == 2
+    summary = json.loads((spec.output_dir / "summary.json").read_text())
+    step = summary["error"]["step"]
+    assert 1 <= step < 200
+    assert "invariants violated" in summary["error"]["message"]
+    rows = (spec.output_dir / "collisions.csv").read_text().splitlines()
+    assert rows[0] == COLLISION_HEADER
+    assert len(rows) - 1 == step - 1
+    assert [int(r.split(",")[0]) for r in rows[1:]] == list(range(1, step))

@@ -177,3 +177,9 @@ def test_maximally_entangled_state():
 def test_spin_params_detuning():
     assert SpinParams(omega_s=0.8).detuning == pytest.approx(-0.2)
     assert CouplingParams(tau1=0.3, tau2=0.1).tau == pytest.approx(0.4)
+
+
+@pytest.mark.parametrize("omega_s", [0.0, -0.3])
+def test_spin_params_reject_non_positive_system_frequency(omega_s):
+    with pytest.raises(ValueError, match="omega_s"):
+        SpinParams(omega_s=omega_s)
