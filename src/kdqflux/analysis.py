@@ -1,7 +1,9 @@
-"""End-to-end analysis of one collision-model run.
+"""End-to-end analysis of collision-model runs.
 
 Pipeline: evolve the physical state and the four tomography probes together,
-collision by collision; then analyze all collisions in one array pass. The
+collision by collision, for one configuration or a whole grid of them
+(``evolve_runs``); then analyze each configuration's collisions in one array
+pass (``analyze_evolved``); ``analyze`` composes the two for one run. The
 pass reads the cumulative maps (M_n, c_n) off the probe Bloch vectors as
 stacks, inverts every predecessor M_{n-1} at once (the determinant and
 condition scan finds the first singular step), composes the single-step
@@ -107,26 +109,39 @@ def _witness_columns(sops: np.ndarray, rho_pre: np.ndarray,
             w[:, 0]]                                          # min Choi eigenvalue
 
 
-def analyze(config: RunConfig) -> RunResult:
-    """Run the full pipeline for one configuration.
+def evolve_runs(configs) -> list[list[Trajectory] | engine.InvariantDriftError]:
+    """Evolve the physical state and the four probes of every configuration.
 
-    Raises SingularMapError when a cumulative map cannot be inverted, and
-    engine.InvariantDriftError when a state leaves the density-matrix
-    invariants. Either error carries the offending collision as ``step`` and
-    the result analyzed up to the collision before it as ``partial_result``;
-    when both occur, the earlier step is reported.
+    The configurations must share ``n_max`` and the initial system state;
+    they are stepped together by ``engine.evolve_grid``, and each entry of
+    the result is what ``analyze_evolved`` takes for that point.
     """
-    t_start = time.perf_counter()
+    configs = list(configs)
+    initial = configs[0].initial_system
+    if any(not np.array_equal(c.initial_system, initial) for c in configs):
+        raise ValueError("grid configurations must share the initial state")
+    return engine.evolve_grid(
+        configs, np.concatenate([initial[np.newaxis], np.stack(probe_states())]))
+
+
+def analyze_evolved(config: RunConfig,
+                    evolved: list[Trajectory] | engine.InvariantDriftError,
+                    t_start: float | None = None) -> RunResult:
+    """Analyze all collisions of one evolved configuration in one array pass.
+
+    ``evolved`` is the entry of ``evolve_runs`` for ``config``: the physical
+    trajectory followed by the four probe trajectories, or the
+    InvariantDriftError that stopped them. ``t_start``, a
+    ``time.perf_counter`` reading, dates ``RunResult.elapsed`` (default: this
+    call). Raises like ``analyze``.
+    """
+    if t_start is None:
+        t_start = time.perf_counter()
     tol = config.tolerances
     error: SingularMapError | engine.InvariantDriftError | None = None
-    try:
-        batch = engine.evolve_batch(
-            config,
-            np.concatenate([config.initial_system[np.newaxis],
-                            np.stack(probe_states())]))
-    except engine.InvariantDriftError as exc:
-        batch, error = exc.trajectories, exc
-    physical, probes = batch[0], tuple(batch[1:])
+    if isinstance(evolved, engine.InvariantDriftError):
+        evolved, error = evolved.trajectories, evolved
+    physical, probes = evolved[0], tuple(evolved[1:])
 
     family = tomography.reconstruct_affine(probe_bloch_history(probes))
     delta_i, _ = witnesses.lfs_series(
@@ -152,6 +167,20 @@ def analyze(config: RunConfig) -> RunResult:
         error.partial_result = result
         raise error
     return result
+
+
+def analyze(config: RunConfig) -> RunResult:
+    """Run the full pipeline for one configuration.
+
+    Raises SingularMapError when a cumulative map cannot be inverted, and
+    engine.InvariantDriftError when a state leaves the density-matrix
+    invariants. Either error carries the offending collision as ``step`` and
+    the result analyzed up to the collision before it as ``partial_result``;
+    when both occur, the earlier step is reported.
+    """
+    t_start = time.perf_counter()
+    (evolved,) = evolve_runs([config])
+    return analyze_evolved(config, evolved, t_start)
 
 
 def summarize(records, n_max: int, tol_pos: float = 1e-10) -> RunSummary:

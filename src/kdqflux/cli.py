@@ -19,6 +19,7 @@ Exit codes: 0 success, 1 configuration error, 2 runtime/numerical failure,
 import argparse
 import dataclasses
 import json
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -27,9 +28,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import RunResult, analyze
+from .analysis import RunResult, analyze, analyze_evolved, evolve_runs
 from .engine import InvariantDriftError, RunConfig, Tolerances
-from .model import ANISOTROPIC, ISOTROPIC, CouplingParams, SpinParams, ThermalSpec
+from .model import (ANISOTROPIC, ISOTROPIC, CouplingParams, SpinParams,
+                    ThermalSpec, collision_unitaries)
 from .tomography import SingularMapError
 
 SCHEMA_VERSION = 1
@@ -59,6 +61,10 @@ _DEFAULTS = {
 }
 
 _GRID_BOUNDS = {DETUNING_SWEEP: (-0.5, 0.5), ANISOTROPY_SWEEP: (-1.0, 1.0)}
+
+# A sweep evolves its points in chunks whose recorded system history stays
+# under this many bytes: 26 points at 1000 collisions.
+SWEEP_CHUNK_BYTES = 8 * 2**20
 
 
 class ConfigError(Exception):
@@ -295,46 +301,76 @@ def sweep_point_config(spec: ExperimentSpec, value: float) -> RunConfig:
     return dataclasses.replace(base, couplings=couplings)
 
 
-def _sweep_point(args) -> tuple[int, dict | None, str | None]:
-    spec, index = args
-    value = float(spec.grid[index])
-    try:
-        result = analyze(sweep_point_config(spec, value))
-        s = result.summary
-        return index, {
-            "grid_value": value, "i_rhp": s.i_rhp, "i_lfs": s.i_lfs,
-            "sum_nq": s.sum_nq,
-            "implication_violations": s.implication_violations,
-        }, None
-    except Exception as exc:  # per-point failures recorded, sweep continues
-        return index, None, f"{type(exc).__name__}: {exc}"
+def _sweep_chunk(configs) -> list[tuple[dict | None, str | None]]:
+    """Evolve a chunk of grid points together, then analyze them one by one."""
+    outcomes = []
+    for config, evolved in zip(configs, evolve_runs(configs)):
+        try:
+            s = analyze_evolved(config, evolved).summary
+        except Exception as exc:  # per-point failures recorded, sweep continues
+            outcomes.append((None, f"{type(exc).__name__}: {exc}"))
+        else:
+            outcomes.append(({"i_rhp": s.i_rhp, "i_lfs": s.i_lfs,
+                              "sum_nq": s.sum_nq,
+                              "implication_violations": s.implication_violations},
+                             None))
+    return outcomes
+
+
+def sweep_points(spec: ExperimentSpec, workers: int = 1) -> list[dict]:
+    """Summary values of every grid point, in grid order, as in sweep.json.
+
+    Each point's configuration and propagators are built first; a point whose
+    build fails is recorded as failed and left out. The others are evolved in
+    contiguous chunks of at most ``SWEEP_CHUNK_BYTES`` of recorded system
+    history, each chunk as one stacked collision loop, and then analyzed one
+    at a time. With ``workers > 1`` the chunks run in a process pool; the
+    values do not depend on the worker count.
+    """
+    points = [{"grid_value": float(value)} for value in spec.grid]
+    runnable = []
+    for point in points:
+        try:
+            config = sweep_point_config(spec, point["grid_value"])
+            collision_unitaries(config.spins, config.couplings)
+        except Exception as exc:  # per-point failures recorded, sweep continues
+            point["error"] = f"{type(exc).__name__}: {exc}"
+        else:
+            runnable.append((point, config))
+
+    configs = [config for _, config in runnable]
+    # five trajectories of (n_max + 1) complex 2x2 states per point
+    size = max(1, SWEEP_CHUNK_BYTES // (5 * (spec.base.n_max + 1) * 4 * 16))
+    chunks = [configs[i:i + size] for i in range(0, len(configs), size)]
+    if workers > 1:
+        with ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("spawn")) as pool:
+            outcomes = [o for chunk in pool.map(_sweep_chunk, chunks) for o in chunk]
+    else:
+        outcomes = [o for chunk in chunks for o in _sweep_chunk(chunk)]
+    for (point, _), (summary, err) in zip(runnable, outcomes):
+        point.update(summary or {}, error=err)
+    return points
 
 
 def run_sweep(spec: ExperimentSpec, workers: int = 1, quiet: bool = False) -> int:
     """Execute every grid point and emit sweep.csv / sweep.json."""
     spec.output_dir.mkdir(parents=True, exist_ok=True)
-    tasks = [(spec, i) for i in range(len(spec.grid))]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_sweep_point, tasks))
-    else:
-        outcomes = [_sweep_point(t) for t in tasks]
-    outcomes.sort(key=lambda item: item[0])
+    points = sweep_points(spec, workers)
 
-    points, failures = [], 0
+    failures = 0
     csv_rows = [SWEEP_HEADER]
-    for index, summary, err in outcomes:
-        value = float(spec.grid[index])
-        if summary is None:
+    for point in points:
+        value, err = point["grid_value"], point["error"]
+        if err is not None:
             failures += 1
             marker = err.replace(",", ";").replace("\n", " ")
             csv_rows.append(f"{_fmt(value)},nan,nan,nan,{marker}")
-            points.append({"grid_value": value, "error": err})
         else:
             csv_rows.append(
-                f"{_fmt(value)},{_fmt(summary['i_rhp'])},"
-                f"{_fmt(summary['i_lfs'])},{_fmt(summary['sum_nq'])},")
-            points.append({**summary, "error": None})
+                f"{_fmt(value)},{_fmt(point['i_rhp'])},"
+                f"{_fmt(point['i_lfs'])},{_fmt(point['sum_nq'])},")
 
     if "csv" in spec.formats:
         (spec.output_dir / "sweep.csv").write_text(
@@ -369,7 +405,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", default=None, metavar="LIST",
                        help="comma-separated subset of csv,json")
         p.add_argument("--workers", type=int, default=1,
-                       help="concurrent sweep workers")
+                       help="sweep: processes that evolve chunks of grid "
+                            "points in parallel")
         p.add_argument("--quiet", action="store_true",
                        help="suppress progress output")
     return parser

@@ -7,8 +7,8 @@ rho_A and the environment is traced out again. The joint state is carried
 over between steps; environment qubits are never stored.
 
 A single trajectory is inherently sequential, but distinct trajectories
-(tomography probes, sweep points) share only immutable inputs and can run
-concurrently.
+(tomography probes, sweep points) share only immutable inputs, so they are
+stepped together as one stack.
 """
 
 from dataclasses import dataclass, field
@@ -25,7 +25,7 @@ DRIFT_TOL = 1e-8
 class InvariantDriftError(RuntimeError):
     """A density-matrix invariant drifted beyond tolerance at collision ``step``.
 
-    ``evolve_batch`` attaches ``trajectories``: the recorded states before
+    ``evolve_grid`` attaches ``trajectories``: the recorded states before
     that collision, so a caller can still analyze the valid prefix.
     """
 
@@ -40,7 +40,6 @@ class Tolerances:
     """Numerical thresholds shared by the engine and the analysis chain."""
 
     drift: float = DRIFT_TOL          # density-matrix invariant violation -> abort
-    positivity: float = 1e-10         # eigenvalue clipping window for states
     tol_pos: float = 1e-10            # threshold for declaring N_q, g_n, dI positive
     singular_det: float = 1e-12       # |det M| below this -> singular map
     cond_threshold: float = 1e8       # condition estimate above this -> singular map
@@ -102,38 +101,36 @@ def collision_step(rho_sm: np.ndarray, unitaries: tuple[np.ndarray, np.ndarray],
     return out
 
 
-# The collision step keeps its stack of k joint states in the layout
-# [row, state, column], shape (4, k, 4) for S-M and (8, k, 8) with the
-# environment qubit, so that each unitary product over the whole stack is a
-# single 2-D matrix product.
+# The collision loop keeps its stack of G x k joint states in the layout
+# [point, row, state, column], shape (G, 4, k, 4) for S-M and (G, 8, k, 8)
+# with the environment qubit, so that each unitary product is one 2-D matrix
+# product per grid point: a point's arithmetic does not depend on G.
+
+# Joint states are checked for invariant drift in blocks of this many
+# collisions, so the check never holds the whole joint history.
+CHECK_BLOCK = 64
+
 
 def _with_env(rho_sm: np.ndarray, env_state: np.ndarray) -> np.ndarray:
-    """rho_sm (x) env_state for every state of a (4, k, 4) stack."""
-    k = rho_sm.shape[1]
-    return (rho_sm[:, np.newaxis, :, :, np.newaxis]
-            * env_state[:, np.newaxis, np.newaxis, :]).reshape(8, k, 8)
+    """rho_sm (x) env_state[g] for every state of a (G, 4, k, 4) stack."""
+    g, _, k, _ = rho_sm.shape
+    return (rho_sm[:, :, np.newaxis, :, :, np.newaxis]
+            * env_state[:, np.newaxis, :, np.newaxis, np.newaxis, :]
+            ).reshape(g, 8, k, 8)
 
 
 def _trace_env(x: np.ndarray) -> np.ndarray:
-    """Partial trace over the environment qubit of a (8, k, 8) stack."""
-    x = x.reshape(4, 2, -1, 4, 2)
-    return x[:, 0, :, :, 0] + x[:, 1, :, :, 1]
+    """Partial trace over the environment qubit of a (G, 8, k, 8) stack."""
+    g, _, k, _ = x.shape
+    x = x.reshape(g, 4, 2, k, 4, 2)
+    return x[:, :, 0, :, :, 0] + x[:, :, 1, :, :, 1]
 
 
 def _conjugate(u: np.ndarray, u_dag: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(u @ x_i) @ u_dag for every state x_i of a (8, k, 8) stack."""
-    k = x.shape[1]
-    return ((u @ x.reshape(8, 8 * k)).reshape(8 * k, 8) @ u_dag).reshape(8, k, 8)
-
-
-def _step_batch(rho_sm: np.ndarray, u_sm: np.ndarray, u_sm_dag: np.ndarray,
-                u_ma: np.ndarray, u_ma_dag: np.ndarray,
-                env_state: np.ndarray) -> np.ndarray:
-    """One collision applied to a batch of joint states, shape (k, 4, 4)."""
-    x = rho_sm.transpose(1, 0, 2)
-    sm = _trace_env(_conjugate(u_sm, u_sm_dag, _with_env(x, env_state)))
-    out = _trace_env(_conjugate(u_ma, u_ma_dag, _with_env(sm, env_state)))
-    return out.transpose(1, 0, 2)
+    """(u[g] @ x) @ u_dag[g] for each state x of point g of a (G, 8, k, 8) stack."""
+    g, _, k, _ = x.shape
+    return ((u @ x.reshape(g, 8, 8 * k)).reshape(g, 8 * k, 8)
+            @ u_dag).reshape(g, 8, k, 8)
 
 
 def _check_states(stack: np.ndarray, drift_tol: float, collision: int | None):
@@ -149,65 +146,122 @@ def _check_states(stack: np.ndarray, drift_tol: float, collision: int | None):
             step=collision)
 
 
-def _check_history(joint: np.ndarray, drift_tol: float) -> InvariantDriftError | None:
-    """Vectorized invariant check over a (n+1, k, 4, 4) history.
+def _check_block(states: np.ndarray, start: int, drift_tol: np.ndarray,
+                 errors: list) -> None:
+    """Invariant check of the (m, G, k, 4, 4) joint states ``start..start+m-1``.
 
-    Returns the error of the first offending collision, so numerical drift
-    is attributable to a step, or None when every state is valid.
+    ``drift_tol`` holds each point's tolerance once per state, shape (G * k,).
+    Sets ``errors[g]`` to the error of point g's first offending collision,
+    unless an earlier block already did. A state with a non-finite entry
+    (from overflowing inputs) makes ``herm`` non-finite and is an offending
+    one, so it fails only its own point.
     """
-    k = joint.shape[1]
-    flat = joint.reshape(-1, 4, 4)
-    herm = np.abs(flat - flat.conj().transpose(0, 2, 1)).max(axis=(1, 2))
-    tr = np.abs(np.trace(flat, axis1=1, axis2=2) - 1.0)
-    min_eig = np.linalg.eigvalsh(flat).min(axis=1)
-    bad = (herm > drift_tol) | (tr > drift_tol) | (min_eig < -drift_tol)
-    if bad.any():
-        first = int(np.argmax(bad))
-        n = first // k
-        return InvariantDriftError(
-            f"density-matrix invariants violated at collision {n}: "
-            f"hermiticity {herm[first]:.2e}, trace {tr[first]:.2e}, "
-            f"min eigenvalue {min_eig[first]:.2e}", step=n)
-    return None
+    m, g, k = states.shape[:3]
+    flat = states.reshape(m, g * k, 4, 4)
+    herm = np.abs(flat - flat.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    tr = np.abs(np.trace(flat, axis1=-2, axis2=-1) - 1.0)
+    finite = np.isfinite(herm)
+    # eigvalsh rejects non-finite matrices: those states get a zero matrix
+    # and report a nan minimum eigenvalue
+    safe = flat if finite.all() else np.where(finite[..., None, None], flat, 0)
+    min_eig = np.where(finite, np.linalg.eigvalsh(safe).min(axis=-1), np.nan)
+    bad = ~finite | (herm > drift_tol) | (tr > drift_tol) | (min_eig < -drift_tol)
+    if not bad.any():
+        return
+    bad = bad.reshape(m, g, k)
+    for p in np.flatnonzero(bad.any(axis=(0, 2))):
+        if errors[p] is None:
+            n, i = divmod(int(np.argmax(bad[:, p])), k)
+            j = (n, p * k + i)
+            errors[p] = InvariantDriftError(
+                f"density-matrix invariants violated at collision {start + n}: "
+                f"hermiticity {herm[j]:.2e}, trace {tr[j]:.2e}, "
+                f"min eigenvalue {min_eig[j]:.2e}", step=start + n)
+
+
+def evolve_grid(configs, initial_systems: np.ndarray, keep_joint: bool = False
+                ) -> list[list[Trajectory] | InvariantDriftError]:
+    """Evolve the same initial states under every configuration at once.
+
+    ``initial_systems`` has shape (k, 2, 2); the configurations must share
+    ``n_max``. Within a configuration all k trajectories see the same
+    unitaries and the same fresh thermal environment each collision. The G
+    points are stepped together as one (G, 4, k, 4) stack, with the same
+    floating-point arithmetic per point as a run of that point alone.
+
+    Returns one entry per configuration: its k trajectories, or the
+    InvariantDriftError of its first collision whose joint state left the
+    density-matrix invariants, with ``step`` and the trajectories truncated
+    before that collision attached. A drifting point does not affect the
+    others.
+    """
+    configs = list(configs)
+    n_max = configs[0].n_max
+    if any(c.n_max != n_max for c in configs):
+        raise ValueError("grid configurations must share n_max")
+    initial_systems = np.asarray(initial_systems, dtype=complex)
+    g, k = len(configs), initial_systems.shape[0]
+
+    unitaries = [model.collision_unitaries(c.spins, c.couplings) for c in configs]
+    u_sm = np.stack([u for u, _ in unitaries])
+    u_ma = np.stack([u for _, u in unitaries])
+    u_sm_dag = u_sm.conj().transpose(0, 2, 1)
+    u_ma_dag = u_ma.conj().transpose(0, 2, 1)
+    rho_m = np.stack([model.thermal_state(c.thermal, c.spins.omega_m)
+                      for c in configs])
+    rho_a = np.stack([model.thermal_state(c.thermal, c.spins.omega_a)
+                      for c in configs])
+    drift_tol = np.repeat([c.tolerances.drift for c in configs], k)
+
+    n1 = n_max + 1
+    system = np.empty((n1, g, k, 2, 2), dtype=complex)
+    joint = np.empty((n1, g, k, 4, 4), dtype=complex) if keep_joint else None
+    block = np.empty((min(CHECK_BLOCK, n1), g, k, 4, 4), dtype=complex)
+    errors: list[InvariantDriftError | None] = [None] * g
+
+    x = np.einsum("kij,gab->giakjb", initial_systems, rho_m).reshape(g, 4, k, 4)
+    for n in range(n1):
+        if n:
+            x = _trace_env(_conjugate(u_sm, u_sm_dag, _with_env(x, rho_a)))
+            x = _trace_env(_conjugate(u_ma, u_ma_dag, _with_env(x, rho_a)))
+        j = n % CHECK_BLOCK
+        block[j] = x.transpose(0, 2, 1, 3)
+        if j == CHECK_BLOCK - 1 or n == n_max:
+            states, start = block[:j + 1], n - j
+            system[start:n + 1] = np.einsum(
+                "ngkaibi->ngkab", states.reshape(j + 1, g, k, 2, 2, 2, 2))
+            if keep_joint:
+                joint[start:n + 1] = states
+            _check_block(states, start, drift_tol, errors)
+
+    outcomes = []
+    for p, error in enumerate(errors):
+        stop = n1 if error is None else error.step
+        trajectories = [
+            Trajectory(system_states=system[:stop, p, i],
+                       joint_states=joint[:stop, p, i] if keep_joint else None)
+            for i in range(k)]
+        if error is None:
+            outcomes.append(trajectories)
+        else:
+            error.trajectories = trajectories
+            outcomes.append(error)
+    return outcomes
 
 
 def evolve_batch(config: RunConfig, initial_systems: np.ndarray,
                  keep_joint: bool = False) -> list[Trajectory]:
     """Run one trajectory per initial system state, sharing all parameters.
 
-    ``initial_systems`` has shape (k, 2, 2). All trajectories see the same
-    unitaries and the same fresh thermal environment each collision. The
-    invariant checks run vectorized over the recorded history; a violation
-    raises InvariantDriftError with the first offending collision as
-    ``step`` and the trajectories truncated before it attached.
+    ``initial_systems`` has shape (k, 2, 2). This is ``evolve_grid`` of one
+    point: a violation raises its InvariantDriftError, with the first
+    offending collision as ``step`` and the trajectories truncated before it
+    attached.
     """
-    initial_systems = np.asarray(initial_systems, dtype=complex)
-    k = initial_systems.shape[0]
-    u_sm, u_ma = model.collision_unitaries(config.spins, config.couplings)
-    rho_m = model.thermal_state(config.thermal, config.spins.omega_m)
-    rho_a = model.thermal_state(config.thermal, config.spins.omega_a)
-
-    joint = np.empty((config.n_max + 1, k, 4, 4), dtype=complex)
-    joint[0] = np.einsum("nij,kl->nikjl", initial_systems, rho_m).reshape(k, 4, 4)
-    u_sm_dag, u_ma_dag = u_sm.conj().T, u_ma.conj().T
-    for n in range(1, config.n_max + 1):
-        joint[n] = _step_batch(joint[n - 1], u_sm, u_sm_dag, u_ma, u_ma_dag,
-                               rho_a)
-
-    error = _check_history(joint, config.tolerances.drift)
-    if error is not None:
-        error.trajectories = _trajectories(joint[:error.step], keep_joint)
-        raise error
-    return _trajectories(joint, keep_joint)
-
-
-def _trajectories(joint: np.ndarray, keep_joint: bool) -> list[Trajectory]:
-    """Split a (n+1, k, 4, 4) joint history into k trajectories."""
-    n1, k = joint.shape[:2]
-    system = np.einsum("nkaibi->nkab", joint.reshape(n1, k, 2, 2, 2, 2))
-    return [Trajectory(system_states=np.ascontiguousarray(system[:, i]),
-                       joint_states=np.ascontiguousarray(joint[:, i]) if keep_joint else None)
-            for i in range(k)]
+    (outcome,) = evolve_grid([config], initial_systems, keep_joint)
+    if isinstance(outcome, InvariantDriftError):
+        raise outcome
+    return outcome
 
 
 def run_trajectory(config: RunConfig, keep_joint: bool = False) -> Trajectory:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from kdqflux.analysis import analyze
-from kdqflux.cli import load_config, sweep_point_config
+from kdqflux.cli import load_config, sweep_points
 from kdqflux.engine import RunConfig, evolve_batch
 from kdqflux.model import (ANISOTROPIC, SIGMA_X, SIGMA_Y, SIGMA_Z,
                            CouplingParams, SpinParams, collision_unitaries)
@@ -67,18 +67,14 @@ def markovian():
 
 def _sweep(kind: str) -> dict:
     spec = load_config(None, {"kind": kind})
-    values = spec.grid
-    table = {"grid": values, "i_rhp": [], "i_lfs": [], "sum_nq": [],
-             "violations": []}
-    for value in values:
-        summary = analyze(sweep_point_config(spec, float(value))).summary
-        table["i_rhp"].append(summary.i_rhp)
-        table["i_lfs"].append(summary.i_lfs)
-        table["sum_nq"].append(summary.sum_nq)
-        table["violations"].append(summary.implication_violations)
-    for key in ("i_rhp", "i_lfs", "sum_nq", "violations"):
-        table[key] = np.asarray(table[key])
-    return table
+    points = sweep_points(spec)
+
+    def column(name):
+        return np.asarray([point[name] for point in points])
+
+    return {"grid": spec.grid, "i_rhp": column("i_rhp"),
+            "i_lfs": column("i_lfs"), "sum_nq": column("sum_nq"),
+            "violations": column("implication_violations")}
 
 
 @pytest.fixture(scope="session")

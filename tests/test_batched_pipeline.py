@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kdqflux.analysis import analyze
+from kdqflux.analysis import analyze, analyze_evolved, evolve_runs
 from kdqflux.engine import InvariantDriftError, RunConfig, Tolerances
 from kdqflux.model import (ANISOTROPIC, ISOTROPIC, CouplingParams, SpinParams,
                            ThermalSpec)
@@ -147,3 +147,72 @@ def test_zero_duration_collisions_give_zero_rhp_measure():
     assert result.summary.i_rhp == 0.0
     assert result.summary.i_lfs == 0.0
     assert result.summary.sum_nq == 0.0
+
+
+def _analyze_grid(configs) -> list:
+    """Each point of a stacked grid: its RunResult, or the error it raised."""
+    outcomes = []
+    for config, evolved in zip(configs, evolve_runs(configs)):
+        try:
+            outcomes.append(analyze_evolved(config, evolved))
+        except (SingularMapError, InvariantDriftError) as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def _analyze_alone(config):
+    try:
+        return analyze(config)
+    except (SingularMapError, InvariantDriftError) as exc:
+        return exc
+
+
+def _assert_same_outcome(got, want) -> None:
+    assert type(got) is type(want)
+    if isinstance(want, Exception):
+        assert got.step == want.step and str(got) == str(want)
+        got, want = got.partial_result, want.partial_result
+    assert got.records == want.records
+    assert got.summary == want.summary
+
+
+GRID_N_MAX = 90
+
+
+def test_analyzed_grid_points_equal_single_runs():
+    configs = [
+        RunConfig(n_max=GRID_N_MAX),
+        RunConfig(spins=SpinParams(omega_s=0.8, omega_a=1.2), n_max=GRID_N_MAX),
+        RunConfig(couplings=CouplingParams(tau1=SWAP_TAU), n_max=GRID_N_MAX),
+        RunConfig(couplings=CouplingParams(tau2=SWAP_TAU), n_max=GRID_N_MAX),
+        RunConfig(couplings=CouplingParams(sm_interaction_kind=ANISOTROPIC,
+                                           gamma=-0.4, g_ma=0.3),
+                  thermal=ThermalSpec(beta=0.5), n_max=GRID_N_MAX),
+    ]
+    outcomes = _analyze_grid(configs)
+    for config, got in zip(configs, outcomes):
+        _assert_same_outcome(got, _analyze_alone(config))
+    singular = outcomes[2]
+    assert isinstance(singular, SingularMapError)
+    assert singular.step == 2 and len(singular.partial_result.records) == 1
+    for index in (0, 1, 3, 4):
+        assert len(outcomes[index].records) == GRID_N_MAX
+
+
+def test_drifting_grid_point_fails_at_its_own_step():
+    configs = [RunConfig(n_max=200),
+               RunConfig(n_max=200, tolerances=Tolerances(drift=1e-14)),
+               RunConfig(spins=SpinParams(omega_s=0.9), n_max=200)]
+    outcomes = _analyze_grid(configs)
+    drift = outcomes[1]
+    assert isinstance(drift, InvariantDriftError)
+    assert 1 <= drift.step < 200
+    for config, got in zip(configs, outcomes):
+        _assert_same_outcome(got, _analyze_alone(config))
+    assert drift.partial_result.records == outcomes[0].records[:drift.step - 1]
+
+
+def test_grid_points_must_share_the_initial_state():
+    with pytest.raises(ValueError):
+        evolve_runs([RunConfig(n_max=3),
+                     RunConfig(n_max=3, initial_system=np.diag([1.0, 0.0]))])

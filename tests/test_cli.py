@@ -4,9 +4,11 @@ import json
 import numpy as np
 import pytest
 
+from kdqflux import cli
+from kdqflux.analysis import analyze
 from kdqflux.cli import (COLLISION_HEADER, SWEEP_HEADER, ExperimentSpec,
                          InvalidValueError, MissingKeyError, load_config,
-                         main, parse_overrides, run_single,
+                         main, parse_overrides, run_single, run_sweep,
                          sweep_point_config)
 from kdqflux.engine import Tolerances
 from kdqflux.model import ANISOTROPIC
@@ -236,6 +238,51 @@ def test_sweep_worker_pool_path(tmp_path):
     assert code == 0
     payload = json.loads((out / "sweep.json").read_text())
     assert [p["grid_value"] for p in payload["points"]] == [-0.5, 0.5]
+
+
+def test_sweep_point_that_cannot_be_built_fails_alone(tmp_path):
+    # a grid built past load_config's checks: omega_s = 1 - 1.5 < 0 at the
+    # first point, so its configuration is rejected before the evolution
+    spec = dataclasses.replace(
+        load_config(None, {"kind": "detuning_sweep", "n_max": 20}),
+        grid=np.array([-1.5, 0.0, 0.1]), output_dir=tmp_path / "unbuildable")
+    assert run_sweep(spec, quiet=True) == 3
+    points = json.loads((spec.output_dir / "sweep.json").read_text())["points"]
+    assert points[0]["error"].startswith("ValueError: omega_s=")
+    assert [p["error"] for p in points[1:]] == [None, None]
+    single = analyze(sweep_point_config(spec, 0.1)).summary
+    assert points[2]["i_lfs"] == single.i_lfs
+    assert points[2]["sum_nq"] == single.sum_nq
+
+
+@pytest.mark.parametrize("kind, overrides", [
+    # a full S-M swap is singular at resonance ...
+    ("detuning_sweep", ["grid_min=-0.1", "grid_max=0.1", f"tau1={SWAP_TAU}"]),
+    # ... and, at half the flip-flop strength, for |gamma| < 1
+    ("anisotropy_sweep", [f"tau1={np.pi / (2 * 0.1)}"]),
+])
+def test_sweep_files_identical_for_any_worker_count(tmp_path, monkeypatch, kind,
+                                                    overrides):
+    args = ["sweep", "--set", f"kind={kind}", "--set", "grid_points=5",
+            "--set", "n_max=6"]
+    for item in overrides:
+        args += ["--set", item]
+    outputs = {"one_chunk": tmp_path / "one_chunk"}
+    assert main(args + ["--out", str(outputs["one_chunk"]), "--quiet"]) == 3
+    # two points per chunk: three chunks for one or two workers
+    monkeypatch.setattr(cli, "SWEEP_CHUNK_BYTES", 2 * 5 * 7 * 4 * 16)
+    for workers in ("1", "2"):
+        out = tmp_path / f"workers{workers}"
+        assert main(args + ["--workers", workers, "--out", str(out),
+                            "--quiet"]) == 3
+        outputs[workers] = out
+    payload = json.loads((outputs["one_chunk"] / "sweep.json").read_text())
+    errors = [p["error"] for p in payload["points"]]
+    assert 1 <= sum(e is not None for e in errors) < len(errors)
+    for name in ("sweep.csv", "sweep.json"):
+        want = (outputs["one_chunk"] / name).read_bytes()
+        assert (outputs["1"] / name).read_bytes() == want
+        assert (outputs["2"] / name).read_bytes() == want
 
 
 def test_anisotropy_sweep_rejects_out_of_range_grid():

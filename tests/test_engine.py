@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from kdqflux.engine import (RunConfig, Tolerances, collision_step,
-                            run_probe_bundle, run_trajectory)
+from kdqflux.engine import (CHECK_BLOCK, InvariantDriftError, RunConfig,
+                            Tolerances, collision_step, evolve_batch,
+                            evolve_grid, run_probe_bundle, run_trajectory)
 from kdqflux.linalg import kron, partial_trace
-from kdqflux.model import (CouplingParams, ThermalSpec,
-                           collision_unitaries, local_hamiltonian,
+from kdqflux.model import (ANISOTROPIC, CouplingParams, SpinParams,
+                           ThermalSpec, collision_unitaries, local_hamiltonian,
                            probe_states, thermal_state)
 
 I2 = np.eye(2, dtype=complex)
@@ -115,6 +116,78 @@ def test_evolve_batch_matches_sequential_steps():
     for n in range(1, 26):
         rho = collision_step(rho, u, env)
         assert np.max(np.abs(rho - traj.joint_states[n])) <= 1e-13
+
+
+# ------------------------------------------------------------ grid stacks
+
+GRID_N_MAX = 2 * CHECK_BLOCK + 20   # three invariant-check blocks
+GRID = [
+    RunConfig(n_max=GRID_N_MAX),
+    RunConfig(spins=SpinParams(omega_s=0.8, omega_m=1.1, omega_a=0.9),
+              n_max=GRID_N_MAX),
+    RunConfig(couplings=CouplingParams(g_sm=0.3, g_ma=0.1, tau1=0.35, tau2=0.15),
+              thermal=ThermalSpec(beta=0.4), n_max=GRID_N_MAX),
+    RunConfig(couplings=CouplingParams(sm_interaction_kind=ANISOTROPIC,
+                                       gamma=0.6),
+              thermal=ThermalSpec(beta=2.5), n_max=GRID_N_MAX),
+    RunConfig(couplings=CouplingParams(sm_interaction_kind=ANISOTROPIC,
+                                       gamma=-0.3, aniso_strength=0.2, tau2=0.5),
+              spins=SpinParams(omega_s=1.3), n_max=GRID_N_MAX),
+    RunConfig(couplings=CouplingParams(sm_interaction_kind=ANISOTROPIC),
+              n_max=GRID_N_MAX),
+]
+
+
+def test_evolve_grid_equals_single_point_evolution_exactly():
+    states = np.concatenate([I2[np.newaxis] / 2, np.stack(probe_states())])
+    outcomes = evolve_grid(GRID, states, keep_joint=True)
+    assert len(outcomes) == len(GRID)
+    for config, trajectories in zip(GRID, outcomes):
+        single = evolve_batch(config, states, keep_joint=True)
+        assert len(trajectories) == len(single) == len(states)
+        for got, want in zip(trajectories, single):
+            assert len(got) == GRID_N_MAX + 1
+            assert np.array_equal(got.system_states, want.system_states)
+            assert np.array_equal(got.joint_states, want.joint_states)
+
+
+def test_evolve_grid_drifting_point_fails_alone():
+    states = np.stack(probe_states())
+    tight = RunConfig(n_max=GRID_N_MAX, tolerances=Tolerances(drift=1e-14))
+    outcomes = evolve_grid([GRID[1], tight, GRID[3]], states)
+    error = outcomes[1]
+    assert isinstance(error, InvariantDriftError)
+    with pytest.raises(InvariantDriftError) as exc_info:
+        evolve_batch(tight, states)
+    assert error.step == exc_info.value.step
+    assert str(error) == str(exc_info.value)
+    assert [len(t) for t in error.trajectories] == [error.step] * len(states)
+    full = evolve_batch(GRID[0], states)   # same dynamics, default tolerance
+    for got, want in zip(error.trajectories, full):
+        assert np.array_equal(got.system_states, want.system_states[:error.step])
+    for config, index in ((GRID[1], 0), (GRID[3], 2)):
+        for got, want in zip(outcomes[index], evolve_batch(config, states)):
+            assert np.array_equal(got.system_states, want.system_states)
+
+
+def test_evolve_grid_non_finite_point_fails_alone():
+    # exp(-beta omega_m / 2) underflows and its partner overflows: the memory
+    # state and every joint state of that point are NaN
+    states = np.stack(probe_states())
+    overflow = RunConfig(spins=SpinParams(omega_m=1e300), n_max=GRID_N_MAX)
+    with np.errstate(over="ignore", invalid="ignore"):
+        outcomes = evolve_grid([GRID[1], overflow], states)
+    error = outcomes[1]
+    assert isinstance(error, InvariantDriftError)
+    assert error.step == 0 and "nan" in str(error)
+    for got, want in zip(outcomes[0], evolve_batch(GRID[1], states)):
+        assert np.array_equal(got.system_states, want.system_states)
+
+
+def test_evolve_grid_requires_a_shared_horizon():
+    with pytest.raises(ValueError):
+        evolve_grid([RunConfig(n_max=3), RunConfig(n_max=4)],
+                     np.stack(probe_states()))
 
 
 # ---------------------------------------------------------------- probes
