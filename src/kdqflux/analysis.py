@@ -20,7 +20,8 @@ pass is tested against.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -52,18 +53,35 @@ class RunSummary:
 
 @dataclass
 class RunResult:
-    """Everything the drivers and tests need from one analyzed run."""
+    """Everything the drivers and tests need from one analyzed run.
+
+    ``columns`` maps each WitnessRecord field to its (n,) array over
+    collisions 1..n; ``family`` stacks the cumulative maps, n = 0..n_max.
+    ``records`` and ``maps`` are the same values as objects, built on first use.
+    """
 
     config: RunConfig
     physical: Trajectory
     probes: tuple[Trajectory, Trajectory, Trajectory, Trajectory]
-    maps: list[AffineBlochMap]            # cumulative maps, n = 0..n_max
-    records: list[WitnessRecord]          # collisions, n = 1..n_max
+    family: AffineBlochMap
+    columns: dict[str, np.ndarray]
     summary: RunSummary
     elapsed: float = field(default=0.0, repr=False)
 
+    @cached_property
+    def maps(self) -> list[AffineBlochMap]:
+        return self.family.unstack()
+
+    @cached_property
+    def records(self) -> list[WitnessRecord]:
+        return [WitnessRecord(*row) for row in
+                zip(*(col.tolist() for col in self.columns.values()))]
+
     def record_array(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.records])
+        return self.columns[name]
+
+
+_FIELDS = [f.name for f in fields(WitnessRecord)]
 
 
 def probe_bloch_history(probes) -> np.ndarray:
@@ -153,15 +171,12 @@ def analyze_evolved(config: RunConfig,
         error = singular
     sops = tomography.affine_to_superoperator(steps)
     n = len(sops)
-    columns = _witness_columns(sops, physical.system_states[:n], delta_i[:n],
-                               config.spins.omega_s)
-    records = [WitnessRecord(*row) for row in
-               zip(range(1, n + 1), *(col.tolist() for col in columns))]
-
+    columns = dict(zip(_FIELDS, [np.arange(1, n + 1), *_witness_columns(
+        sops, physical.system_states[:n], delta_i[:n], config.spins.omega_s)]))
     result = RunResult(
-        config=config, physical=physical, probes=probes,
-        maps=family.unstack(), records=records,
-        summary=summarize(records, n_max=config.n_max, tol_pos=tol.tol_pos),
+        config=config, physical=physical, probes=probes, family=family,
+        columns=columns,
+        summary=summarize(columns, n_max=config.n_max, tol_pos=tol.tol_pos),
         elapsed=time.perf_counter() - t_start)
     if error is not None:
         error.partial_result = result
@@ -183,14 +198,15 @@ def analyze(config: RunConfig) -> RunResult:
     return analyze_evolved(config, evolved, t_start)
 
 
-def summarize(records, n_max: int, tol_pos: float = 1e-10) -> RunSummary:
-    """Reduce per-collision records to run-level measures and indices.
+def summarize(columns, n_max: int, tol_pos: float = 1e-10) -> RunSummary:
+    """Reduce a witness table to run-level measures and indices.
 
-    I_RHP, I_LFS and sum N_q all add up the values that exceed ``tol_pos``.
+    ``columns`` is a table like ``RunResult.columns``; an empty one means no
+    collisions. I_RHP, I_LFS and sum N_q all add up the values that exceed
+    ``tol_pos``. The maxima are taken with Python's ``max`` and ``abs``.
     """
-    nq = np.array([r.n_q for r in records])
-    g = np.array([r.g_n for r in records])
-    steps = np.array([r.n for r in records])
+    columns = dict(columns) or dict.fromkeys(_FIELDS, np.empty(0))
+    nq, g, delta_i, steps = (columns[k] for k in ("n_q", "g_n", "delta_i", "n"))
 
     def first_last(values):
         idx = steps[values > tol_pos]
@@ -200,19 +216,15 @@ def summarize(records, n_max: int, tol_pos: float = 1e-10) -> RunSummary:
 
     first_nq, last_nq = first_last(nq)
     first_g, last_g = first_last(g)
-    delta_i = np.array([r.delta_i for r in records])
-    violations = int(np.sum((nq > tol_pos)
-                            & (np.array([r.choi_min_eig for r in records])
-                               >= -tol_pos)))
     return RunSummary(
         n_max=n_max,
-        i_rhp=witnesses.rhp_measure(g, tol_pos=tol_pos) if records else 0.0,
-        i_lfs=float(delta_i[delta_i > tol_pos].sum()) if records else 0.0,
-        sum_nq=float(nq[nq > tol_pos].sum()) if records else 0.0,
+        i_rhp=witnesses.rhp_measure(g, tol_pos=tol_pos),
+        i_lfs=float(delta_i[delta_i > tol_pos].sum()),
+        sum_nq=float(nq[nq > tol_pos].sum()),
         first_nq_positive=first_nq, last_nq_positive=last_nq,
         first_g_positive=first_g, last_g_positive=last_g,
-        implication_violations=violations,
-        max_off_pattern_residual=float(max((r.residual for r in records),
-                                           default=0.0)),
-        max_abs_d=float(max((abs(r.d) for r in records), default=0.0)),
+        implication_violations=int(np.sum(
+            (nq > tol_pos) & (columns["choi_min_eig"] >= -tol_pos))),
+        max_off_pattern_residual=max(columns["residual"].tolist(), default=0.0),
+        max_abs_d=max(map(abs, columns["d"].tolist()), default=0.0),
         tol_pos=tol_pos)

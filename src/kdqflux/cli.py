@@ -45,6 +45,7 @@ _KINDS = (SINGLE_RUN, DETUNING_SWEEP, ANISOTROPY_SWEEP)
 COLLISION_HEADER = ("n,p0,p1,a,b,c_re,c_im,d_re,d_im,N_q,g_n,delta_I,"
                     "avg_dE_over_omega,choi_min_eig,residual")
 SWEEP_HEADER = "grid_value,i_rhp,i_lfs,sum_nq,error"
+_COLLISION_ROW = "%d," + ",".join(["%.17g"] * 14) + "\n"   # "%.17g" is _fmt
 
 _FLOAT_KEYS = ("omega_s", "omega_m", "omega_a", "g_sm", "g_ma", "tau1", "tau2",
                "beta", "gamma", "grid_min", "grid_max", "aniso_strength")
@@ -220,14 +221,6 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _collision_row(record, omega_s: float) -> str:
-    values = (record.p0, record.p1, record.a, record.b,
-              record.c.real, record.c.imag, record.d.real, record.d.imag,
-              record.n_q, record.g_n, record.delta_i, record.avg_de / omega_s,
-              record.choi_min_eig, record.residual)
-    return f"{record.n}," + ",".join(_fmt(x) for x in values)
-
-
 def _params_dict(config: RunConfig) -> dict:
     c = config.couplings
     return {
@@ -272,16 +265,22 @@ def run_single(spec: ExperimentSpec, quiet: bool = False) -> int:
         result = exc.partial_result
 
     if "csv" in spec.formats:
-        rows = [COLLISION_HEADER]
-        rows += [_collision_row(r, spec.base.spins.omega_s) for r in result.records]
+        c = result.columns
+        table = np.column_stack([
+            c["n"], c["p0"], c["p1"], c["a"], c["b"], c["c"].real, c["c"].imag,
+            c["d"].real, c["d"].imag, c["n_q"], c["g_n"], c["delta_i"],
+            c["avg_de"] / spec.base.spins.omega_s, c["choi_min_eig"],
+            c["residual"]])
         (spec.output_dir / "collisions.csv").write_text(
-            "\n".join(rows) + "\n", encoding="utf-8")
+            COLLISION_HEADER + "\n"
+            + (_COLLISION_ROW * len(table)) % tuple(table.ravel().tolist()),
+            encoding="utf-8")
     if "json" in spec.formats:
         _write_json(spec.output_dir / "summary.json",
                     _summary_dict(result, error))
     if not quiet:
         s = result.summary
-        print(f"run: {len(result.records)} collisions analyzed; "
+        print(f"run: {len(result.columns['n'])} collisions analyzed; "
               f"I_RHP={s.i_rhp:.6g} I_LFS={s.i_lfs:.6g} sum_Nq={s.sum_nq:.6g}"
               + (f"; stopped at step {error.step}: {error}" if error else ""),
               file=sys.stderr)

@@ -11,6 +11,7 @@ A single trajectory is inherently sequential, but distinct trajectories
 stepped together as one stack.
 """
 
+import contextlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,27 +111,9 @@ def collision_step(rho_sm: np.ndarray, unitaries: tuple[np.ndarray, np.ndarray],
 # collisions, so the check never holds the whole joint history.
 CHECK_BLOCK = 64
 
-
-def _with_env(rho_sm: np.ndarray, env_state: np.ndarray) -> np.ndarray:
-    """rho_sm (x) env_state[g] for every state of a (G, 4, k, 4) stack."""
-    g, _, k, _ = rho_sm.shape
-    return (rho_sm[:, :, np.newaxis, :, :, np.newaxis]
-            * env_state[:, np.newaxis, :, np.newaxis, np.newaxis, :]
-            ).reshape(g, 8, k, 8)
-
-
-def _trace_env(x: np.ndarray) -> np.ndarray:
-    """Partial trace over the environment qubit of a (G, 8, k, 8) stack."""
-    g, _, k, _ = x.shape
-    x = x.reshape(g, 4, 2, k, 4, 2)
-    return x[:, :, 0, :, :, 0] + x[:, :, 1, :, :, 1]
-
-
-def _conjugate(u: np.ndarray, u_dag: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(u[g] @ x) @ u_dag[g] for each state x of point g of a (G, 8, k, 8) stack."""
-    g, _, k, _ = x.shape
-    return ((u @ x.reshape(g, 8, 8 * k)).reshape(g, 8 * k, 8)
-            @ u_dag).reshape(g, 8, k, 8)
+# The drift check's Cholesky shift stays this far below the tolerance, well
+# above the few 1e-16 of rounding in Cholesky and eigvalsh of a 4x4 state.
+CHOLESKY_MARGIN = 1e-14
 
 
 def _check_states(stack: np.ndarray, drift_tol: float, collision: int | None):
@@ -161,6 +144,14 @@ def _check_block(states: np.ndarray, start: int, drift_tol: np.ndarray,
     herm = np.abs(flat - flat.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     tr = np.abs(np.trace(flat, axis1=-2, axis2=-1) - 1.0)
     finite = np.isfinite(herm)
+    if finite.all() and (herm <= drift_tol).all() and (tr <= drift_tol).all():
+        # a stack that still has a Cholesky factor when shifted by
+        # drift_tol - CHOLESKY_MARGIN has no eigenvalue below -drift_tol;
+        # only a failed factorization needs the eigenvalues
+        with contextlib.suppress(np.linalg.LinAlgError):
+            np.linalg.cholesky(
+                flat + (drift_tol - CHOLESKY_MARGIN)[:, None, None] * np.eye(4))
+            return
     # eigvalsh rejects non-finite matrices: those states get a zero matrix
     # and report a nan minimum eigenvalue
     safe = flat if finite.all() else np.where(finite[..., None, None], flat, 0)
@@ -219,13 +210,29 @@ def evolve_grid(configs, initial_systems: np.ndarray, keep_joint: bool = False
     block = np.empty((min(CHECK_BLOCK, n1), g, k, 4, 4), dtype=complex)
     errors: list[InvariantDriftError | None] = [None] * g
 
-    x = np.einsum("kij,gab->giakjb", initial_systems, rho_m).reshape(g, 4, k, 4)
+    # buffers written through fixed views: x, x (x) rho_A, u @ (x (x) rho_A)
+    # and its product with u_dag, whose environment trace goes back into x
+    x = np.empty((g, 4, k, 4), dtype=complex)
+    np.einsum("kij,gab->giakjb", initial_systems, rho_m,
+              out=x.reshape(g, 2, 2, k, 2, 2))
+    xe = np.empty((g, 4, 2, k, 4, 2), dtype=complex)
+    y = np.empty((g, 8, 8 * k), dtype=complex)
+    z = np.empty((g, 8 * k, 8), dtype=complex)
+    x_env = x[:, :, np.newaxis, :, :, np.newaxis]
+    env = rho_a[:, np.newaxis, :, np.newaxis, np.newaxis, :]
+    xe_flat, y_r = xe.reshape(g, 8, 8 * k), y.reshape(g, 8 * k, 8)
+    z6 = z.reshape(g, 4, 2, k, 4, 2)
+    z00, z11 = z6[:, :, 0, :, :, 0], z6[:, :, 1, :, :, 1]
+    x_t = x.transpose(0, 2, 1, 3)
     for n in range(n1):
         if n:
-            x = _trace_env(_conjugate(u_sm, u_sm_dag, _with_env(x, rho_a)))
-            x = _trace_env(_conjugate(u_ma, u_ma_dag, _with_env(x, rho_a)))
+            for u, u_dag in ((u_sm, u_sm_dag), (u_ma, u_ma_dag)):
+                np.multiply(x_env, env, out=xe)
+                np.matmul(u, xe_flat, out=y)
+                np.matmul(y_r, u_dag, out=z)
+                np.add(z00, z11, out=x)
         j = n % CHECK_BLOCK
-        block[j] = x.transpose(0, 2, 1, 3)
+        block[j] = x_t
         if j == CHECK_BLOCK - 1 or n == n_max:
             states, start = block[:j + 1], n - j
             system[start:n + 1] = np.einsum(

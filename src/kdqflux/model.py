@@ -54,8 +54,9 @@ class CouplingParams:
     """Interaction strengths, collision durations and S-M interaction kind.
 
     ``aniso_strength`` multiplies the anisotropic S-M Hamiltonian; ``None``
-    selects ``g_sm / 2`` so the anisotropic coupling is scaled like the
-    exchange terms of the isotropic interaction.
+    selects ``g_sm / 2``: at ``gamma = 0`` that is (g_sm/4)(XX + YY) +
+    (g_sm/2) ZZ, whose flip-flop terms have half the strength of the
+    isotropic (g_sm/2)(XX + YY + ZZ).
     """
 
     g_sm: float = 0.2

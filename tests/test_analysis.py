@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kdqflux.analysis import analyze, summarize
+from kdqflux.analysis import RunSummary, analyze, summarize
 from kdqflux.engine import RunConfig
 from kdqflux.model import ANISOTROPIC, CouplingParams, SpinParams
 from kdqflux.tomography import (SingularMapError, affine_to_superoperator,
@@ -106,6 +106,34 @@ def test_anisotropic_run_couples_coherence_sectors():
     result = analyze(config)
     assert result.summary.max_abs_d > 1e-6
     assert result.summary.max_off_pattern_residual <= 1e-10
+
+
+def test_summary_equals_python_reductions_of_records_bit_for_bit():
+    # gamma = -0.4: numpy's complex abs and Python's abs differ by one ulp
+    # on the largest |d| of this run, so max_abs_d must use Python's
+    config = RunConfig(
+        couplings=CouplingParams(sm_interaction_kind=ANISOTROPIC, gamma=-0.4),
+        n_max=120)
+    result = analyze(config)
+    records, tol = result.records, config.tolerances.tol_pos
+    assert len(records) == 120
+    nq_steps = [r.n for r in records if r.n_q > tol]
+    g_steps = [r.n for r in records if r.g_n > tol]
+    want = RunSummary(
+        n_max=120,
+        i_rhp=rhp_measure([r.g_n for r in records], tol_pos=tol),
+        i_lfs=float(np.array([r.delta_i for r in records if r.delta_i > tol]).sum()),
+        sum_nq=float(np.array([r.n_q for r in records if r.n_q > tol]).sum()),
+        first_nq_positive=nq_steps[0], last_nq_positive=nq_steps[-1],
+        first_g_positive=g_steps[0], last_g_positive=g_steps[-1],
+        implication_violations=sum(r.n_q > tol and r.choi_min_eig >= -tol
+                                   for r in records),
+        max_off_pattern_residual=max(r.residual for r in records),
+        max_abs_d=max(abs(r.d) for r in records), tol_pos=tol)
+    got = result.summary
+    for name in vars(want):
+        assert repr(getattr(got, name)) == repr(getattr(want, name)), name
+    assert got.max_abs_d > 1e-6
 
 
 def test_detuned_run_stays_phase_covariant():

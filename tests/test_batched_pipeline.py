@@ -49,11 +49,14 @@ def _assert_matches_oracle(result) -> None:
         rho_pre = result.physical.system_states[n - 1]
         p0, p1 = rho_pre[0, 0].real, rho_pre[1, 1].real
         _, margins = cp_conditions(entries)
+        kdq = kdq_general(sop, rho_pre, basis)
+        # the KDQ marginal over final outcomes is the pre-collision population
+        assert np.abs(kdq.marginal_in() - [p0, p1]).max() <= TOL, n
         expected = {
             "p0": p0, "p1": p1, "a": entries.a, "b": entries.b,
             "c": entries.c, "d": entries.d,
             "residual": entries.off_pattern_residual,
-            "n_q": nonpositivity(kdq_general(sop, rho_pre, basis)),
+            "n_q": nonpositivity(kdq),
             "g_n": rhp_increment(j_mat),
             "delta_i": delta_i[n - 1],
             "avg_de": avg_energy_change(entries, p0, p1, omega_s),
@@ -95,6 +98,10 @@ def test_batched_records_match_per_collision_routes(
     _assert_matches_oracle(result)
     # the paper's theorem: N_q > 0 only where the step map is not CP
     assert result.summary.implication_violations == 0
+    if sm_kind == ISOTROPIC:
+        # excitation-number conservation: d vanishes up to round-off
+        for rec in result.records:
+            assert abs(rec.d) <= 1e-10 and rec.residual <= 1e-10, rec.n
 
 
 @pytest.mark.parametrize("config", [

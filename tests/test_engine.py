@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from kdqflux.engine import (CHECK_BLOCK, InvariantDriftError, RunConfig,
-                            Tolerances, collision_step, evolve_batch,
-                            evolve_grid, run_probe_bundle, run_trajectory)
+from kdqflux.engine import (CHECK_BLOCK, DRIFT_TOL, InvariantDriftError,
+                            RunConfig, Tolerances, _check_block, collision_step,
+                            evolve_batch, evolve_grid, run_probe_bundle,
+                            run_trajectory)
 from kdqflux.linalg import kron, partial_trace
 from kdqflux.model import (ANISOTROPIC, CouplingParams, SpinParams,
                            ThermalSpec, collision_unitaries, local_hamiltonian,
@@ -151,6 +152,49 @@ def test_evolve_grid_equals_single_point_evolution_exactly():
             assert np.array_equal(got.joint_states, want.joint_states)
 
 
+def _reference_half_step(x, u, u_dag, env):
+    """One half-collision on a (G, 4, k, 4) stack, allocating every array.
+
+    Broadcast Kronecker product with the environment state, (u @ x) @ u_dag
+    through the same reshapes, and the two-slice partial trace.
+    """
+    g, _, k, _ = x.shape
+    x = (x[:, :, np.newaxis, :, :, np.newaxis]
+         * env[:, np.newaxis, :, np.newaxis, np.newaxis, :]).reshape(g, 8, k, 8)
+    x = ((u @ x.reshape(g, 8, 8 * k)).reshape(g, 8 * k, 8)
+         @ u_dag).reshape(g, 4, 2, k, 4, 2)
+    return x[:, :, 0, :, :, 0] + x[:, :, 1, :, :, 1]
+
+
+def _reference_joint_history(configs, states, n_max):
+    """Joint states (n_max + 1, G, k, 4, 4) of the allocating collision loop."""
+    unitaries = [collision_unitaries(c.spins, c.couplings) for c in configs]
+    u_sm = np.stack([u for u, _ in unitaries])
+    u_ma = np.stack([u for _, u in unitaries])
+    rho_m = np.stack([thermal_state(c.thermal, c.spins.omega_m) for c in configs])
+    rho_a = np.stack([thermal_state(c.thermal, c.spins.omega_a) for c in configs])
+    g, k = len(configs), len(states)
+    x = np.einsum("kij,gab->giakjb", states, rho_m).reshape(g, 4, k, 4)
+    history = [x.transpose(0, 2, 1, 3)]
+    for _ in range(n_max):
+        for u in (u_sm, u_ma):
+            x = _reference_half_step(x, u, u.conj().transpose(0, 2, 1), rho_a)
+        history.append(x.transpose(0, 2, 1, 3))
+    return np.stack(history)
+
+
+def test_evolve_grid_matches_allocating_reference_loop_bit_for_bit():
+    states = np.concatenate([I2[np.newaxis] / 2, np.stack(probe_states())])
+    want = _reference_joint_history(GRID, states, GRID_N_MAX)
+    outcomes = evolve_grid(GRID, states, keep_joint=True)
+    for p, trajectories in enumerate(outcomes):
+        for i, traj in enumerate(trajectories):
+            got, ref = traj.joint_states, want[:, p, i]
+            assert np.array_equal(got, ref)
+            for part in (np.real, np.imag):
+                assert np.array_equal(np.signbit(part(got)), np.signbit(part(ref)))
+
+
 def test_evolve_grid_drifting_point_fails_alone():
     states = np.stack(probe_states())
     tight = RunConfig(n_max=GRID_N_MAX, tolerances=Tolerances(drift=1e-14))
@@ -188,6 +232,87 @@ def test_evolve_grid_requires_a_shared_horizon():
     with pytest.raises(ValueError):
         evolve_grid([RunConfig(n_max=3), RunConfig(n_max=4)],
                      np.stack(probe_states()))
+
+
+# ------------------------------------------------------------- drift check
+
+def _state_with_min_eig(lam_min, rotation):
+    """Trace-one Hermitian 4x4 state with eigenvalues lam_min, 0.4, 0.3, rest."""
+    lam = np.array([lam_min, 0.4, 0.3, 0.3 - lam_min])
+    rho = rotation @ np.diag(lam) @ rotation.conj().T
+    return (rho + rho.conj().T) / 2
+
+
+def _check_alone(state, tol=DRIFT_TOL):
+    """``_check_block`` on one state, as one collision of one point."""
+    errors = [None]
+    _check_block(state[np.newaxis, np.newaxis, np.newaxis], 5,
+                 np.array([tol]), errors)
+    return errors[0]
+
+
+def test_drift_check_flags_exactly_the_eigenvalue_rule():
+    rng = np.random.default_rng(11)
+    tol = DRIFT_TOL
+    levels = (-tol * (1 + 1e-6), -tol * (1 - 1e-6), -tol, 0.0)
+    flagged = dict.fromkeys(levels, 0)
+    for lam_min in levels:
+        for _ in range(100):
+            q, _ = np.linalg.qr(rng.normal(size=(4, 4))
+                                + 1j * rng.normal(size=(4, 4)))
+            state = _state_with_min_eig(lam_min, q)
+            rule = np.linalg.eigvalsh(state).min() < -tol
+            error = _check_alone(state)
+            assert (error is not None) == rule, (lam_min, error)
+            flagged[lam_min] += rule
+            if rule:
+                assert error.step == 5 and "min eigenvalue -1.00e-08" in str(error)
+        # the diagonal state has its exact eigenvalues
+        diagonal = _state_with_min_eig(lam_min, np.eye(4))
+        assert (_check_alone(diagonal) is not None) == (lam_min < -tol)
+    assert flagged[levels[0]] == 100
+    assert flagged[levels[1]] == flagged[0.0] == 0
+
+
+def test_drift_check_state_failing_cholesky_but_not_eigvalsh_passes():
+    tol = DRIFT_TOL
+    state = _state_with_min_eig(-tol, np.eye(4))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(state + tol * np.eye(4))
+    assert np.linalg.eigvalsh(state).min() == -tol
+    assert _check_alone(state) is None
+    # the same state as one collision of a clean block of three points
+    clean = _state_with_min_eig(0.1, np.eye(4))
+    block = np.broadcast_to(clean, (4, 3, 2, 4, 4)).copy()
+    block[2, 1, 0] = state
+    errors = [None] * 3
+    _check_block(block, 0, np.full(6, tol), errors)
+    assert errors == [None] * 3
+
+
+@pytest.mark.parametrize("defect, message", [
+    ("nan", "hermiticity nan, trace 0.00e+00, min eigenvalue nan"),
+    ("trace", "hermiticity 0.00e+00, trace 3.00e-08, min eigenvalue 1.25e-01"),
+    ("hermiticity", "hermiticity 2.00e-08, trace 0.00e+00, "
+                    "min eigenvalue 1.25e-01"),
+])
+def test_drift_check_reports_the_first_bad_collision(defect, message):
+    clean = np.diag([0.5, 0.25, 0.125, 0.125]).astype(complex)
+    block = np.broadcast_to(clean, (6, 2, 3, 4, 4)).copy()
+    bad = clean.copy()
+    if defect == "nan":
+        bad[0, 1] = np.nan
+    elif defect == "trace":
+        bad[1, 1] += 3e-8
+    else:
+        bad[0, 1] = 2e-8j       # eigvalsh reads the lower triangle only
+    block[4, 1, 2] = block[5, 1, 0] = bad
+    errors = [None, None]
+    _check_block(block, 128, np.full(6, DRIFT_TOL), errors)
+    assert errors[0] is None
+    assert errors[1].step == 132
+    assert str(errors[1]) == (
+        f"density-matrix invariants violated at collision 132: {message}")
 
 
 # ---------------------------------------------------------------- probes
