@@ -8,8 +8,9 @@ pass reads the cumulative maps (M_n, c_n) off the probe Bloch vectors as
 stacks, inverts every predecessor M_{n-1} at once (the determinant and
 condition scan finds the first singular step), composes the single-step
 maps in batch, converts them to superoperators and Choi matrices by reshape
-and transpose, and takes one Hermitian eigendecomposition of the whole Choi
-stack for g_n and the minimum Choi eigenvalue. The KDQ non-positivity N_q,
+and transpose, and takes g_n and the minimum Choi eigenvalue from the closed
+form roots of each Choi matrix's two 2x2 blocks, whose determinants are the
+CP margins (``linalg.block_eigvalsh``). The KDQ non-positivity N_q,
 the phase covariant entries, the CP margins and <dE> are elementwise array
 expressions. Record n describes collision n (the step from state n-1 to
 state n); its ``delta_i`` is the QMI change realized by that collision.
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import engine, tomography, witnesses
 from .engine import RunConfig, Trajectory
-from .linalg import HERMITICITY_TOL, _require_hermitian
+from .linalg import HERMITICITY_TOL, _require_hermitian, block_eigvalsh
 from .model import SIGMA_X, SIGMA_Y, SIGMA_Z, probe_states
 from .tomography import AffineBlochMap, SingularMapError, _off_pattern_residual
 from .witnesses import WitnessRecord
@@ -106,8 +107,6 @@ def _witness_columns(sops: np.ndarray, rho_pre: np.ndarray,
     energy basis is the computational one, so each KDQ value
     q[in, fin] = Tr[Pi_fin Lambda[Pi_in rho]] is a sum of two products.
     """
-    w = np.linalg.eigvalsh(_require_hermitian(
-        tomography.choi(sops), HERMITICITY_TOL, "Choi matrices of the step maps"))
     r00, r01 = rho_pre[:, 0, 0], rho_pre[:, 0, 1]
     r10, r11 = rho_pre[:, 1, 0], rho_pre[:, 1, 1]
     q00 = sops[:, 0, 0] * r00 + sops[:, 0, 1] * r01
@@ -117,14 +116,20 @@ def _witness_columns(sops: np.ndarray, rho_pre: np.ndarray,
     a, b = sops[:, 0, 0].real, sops[:, 0, 3].real
     c, d = sops[:, 1, 1], sops[:, 1, 2]
     p0, p1 = r00.real, r11.real
+    c_margin = a * (1.0 - b) - np.abs(c) ** 2
+    d_margin = b * (1.0 - a) - np.abs(d) ** 2
+    # the Choi blocks [[a, c], [c*, 1-b]] and [[1-a, d*], [d, b]] have the
+    # CP margins as determinants
+    w = block_eigvalsh(_require_hermitian(
+        tomography.choi(sops), HERMITICITY_TOL, "Choi matrices of the step maps"),
+        c_margin, d_margin)
     return [p0, p1, a, b, c, d, _off_pattern_residual(sops),
             np.abs(q00) + np.abs(q01) + np.abs(q10) + np.abs(q11) - 1.0,  # N_q
             np.abs(w).sum(axis=1) / 2.0 - 1.0,                            # g_n
             delta_i,
             omega_s * ((a - 1.0) * p0 + b * p1),                          # <dE>
-            a * (1.0 - b) - np.abs(c) ** 2,
-            b * (1.0 - a) - np.abs(d) ** 2,
-            w[:, 0]]                                          # min Choi eigenvalue
+            c_margin, d_margin,
+            w.min(axis=1)]                                    # min Choi eigenvalue
 
 
 def evolve_runs(configs) -> list[list[Trajectory] | engine.InvariantDriftError]:

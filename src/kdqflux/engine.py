@@ -4,7 +4,8 @@ One collision step evolves the joint S-M state with a fresh thermal
 environment qubit: first the S-M propagator acts on rho_SM (x) rho_A, the
 environment is traced out, then the M-A propagator acts with the same fresh
 rho_A and the environment is traced out again. The joint state is carried
-over between steps; environment qubits are never stored.
+over between steps; environment qubits are never stored. rho_A is a diagonal
+Gibbs state, so only the two diagonal blocks of rho_SM (x) rho_A are formed.
 
 A single trajectory is inherently sequential, but distinct trajectories
 (tomography probes, sweep points) share only immutable inputs, so they are
@@ -215,11 +216,15 @@ def evolve_grid(configs, initial_systems: np.ndarray, keep_joint: bool = False
     x = np.empty((g, 4, k, 4), dtype=complex)
     np.einsum("kij,gab->giakjb", initial_systems, rho_m,
               out=x.reshape(g, 2, 2, k, 2, 2))
-    xe = np.empty((g, 4, 2, k, 4, 2), dtype=complex)
+    # rho_A is diagonal (model.thermal_state), so the blocks of x (x) rho_A
+    # off its diagonal stay zero and only the two diagonal ones are written,
+    # through the diagonal view of xe
+    xe = np.zeros((g, 4, 2, k, 4, 2), dtype=complex)
+    xe_diag = np.einsum("giasja->giasj", xe)
+    x_env = x[:, :, np.newaxis]
+    p_a = rho_a.diagonal(0, 1, 2)[:, np.newaxis, :, np.newaxis, np.newaxis]
     y = np.empty((g, 8, 8 * k), dtype=complex)
     z = np.empty((g, 8 * k, 8), dtype=complex)
-    x_env = x[:, :, np.newaxis, :, :, np.newaxis]
-    env = rho_a[:, np.newaxis, :, np.newaxis, np.newaxis, :]
     xe_flat, y_r = xe.reshape(g, 8, 8 * k), y.reshape(g, 8 * k, 8)
     z6 = z.reshape(g, 4, 2, k, 4, 2)
     z00, z11 = z6[:, :, 0, :, :, 0], z6[:, :, 1, :, :, 1]
@@ -227,7 +232,7 @@ def evolve_grid(configs, initial_systems: np.ndarray, keep_joint: bool = False
     for n in range(n1):
         if n:
             for u, u_dag in ((u_sm, u_sm_dag), (u_ma, u_ma_dag)):
-                np.multiply(x_env, env, out=xe)
+                np.multiply(x_env, p_a, out=xe_diag)
                 np.matmul(u, xe_flat, out=y)
                 np.matmul(y_r, u_dag, out=z)
                 np.add(z00, z11, out=x)

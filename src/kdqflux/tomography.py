@@ -20,9 +20,7 @@ shape (..., 3); ``reconstruct_affine``, ``time_local_family``,
 whole run is converted in a few array operations.
 """
 
-import json
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -300,29 +298,3 @@ def choi(sop: np.ndarray) -> np.ndarray:
     units = sop.reshape(sop.shape[:-2] + (2, 2, 2, 2))   # [..., k, l, i, j]
     return np.einsum("...klij->...ikjl", units).reshape(sop.shape)
 
-
-def export_map_family(path, maps: Sequence[AffineBlochMap],
-                      entries: Sequence[PhaseCovariantEntries]) -> None:
-    """Write the reconstructed map family as JSON lines, one record per step.
-
-    Each record carries {n, M (9 reals, row-major), c (3 reals), a, b, c_re,
-    c_im, d_re, d_im, residual}; ``entries[n]`` describes the superoperator
-    of ``maps[n]``.
-    """
-    if len(maps) != len(entries):
-        raise ValueError("maps and entries must have the same length")
-    with open(path, "w", encoding="utf-8") as fh:
-        for n, (bloch_map, ent) in enumerate(zip(maps, entries)):
-            record = {
-                "n": n,
-                "M": [float(x) for x in bloch_map.m.reshape(9)],
-                "c": [float(x) for x in bloch_map.c],
-                "a": ent.a,
-                "b": ent.b,
-                "c_re": ent.c.real,
-                "c_im": ent.c.imag,
-                "d_re": ent.d.real,
-                "d_im": ent.d.imag,
-                "residual": ent.off_pattern_residual,
-            }
-            fh.write(json.dumps(record) + "\n")

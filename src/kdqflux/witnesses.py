@@ -21,7 +21,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .linalg import partial_trace, trace_norm, von_neumann_entropy
+from .linalg import (block_eigvalsh, eigvalsh2, partial_trace, trace_norm,
+                     von_neumann_entropy)
 from .tomography import PhaseCovariantEntries, apply_superoperator
 
 
@@ -183,12 +184,13 @@ def lfs_series(chois: Sequence[np.ndarray], tol_pos: float = 1e-10,
     J/2 realizes the joint state of the untouched reference and the evolved
     system, starting from the maximally entangled pair at n = 0. Returns
     (delta_i, i_lfs) with delta_i[n] = I(n+1) - I(n) and i_lfs the sum of
-    increments exceeding ``tol_pos``.
+    increments exceeding ``tol_pos``. The spectra are taken in closed form
+    (``linalg.block_eigvalsh`` and ``linalg.eigvalsh2``).
     """
     stack = np.asarray(chois, dtype=complex) / 2.0
     herm = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2))
     traces = np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0)
-    w_ls = np.linalg.eigvalsh((stack + stack.conj().transpose(0, 2, 1)) / 2)
+    w_ls = block_eigvalsh((stack + stack.conj().transpose(0, 2, 1)) / 2)
     bad = (herm > density_tol) | (traces > density_tol) \
         | (w_ls.min(axis=1) < -density_tol)
     if bad.any():
@@ -197,9 +199,9 @@ def lfs_series(chois: Sequence[np.ndarray], tol_pos: float = 1e-10,
     four = stack.reshape(-1, 2, 2, 2, 2)
     rho_l = np.einsum("nalbl->nab", four)
     rho_s = np.einsum("nlalb->nab", four)
-    qmis = (_entropy_from_eigs(np.linalg.eigvalsh(rho_l))
-            + _entropy_from_eigs(np.linalg.eigvalsh(rho_s))
-            - _entropy_from_eigs(w_ls))
+    s_l, s_s = (_entropy_from_eigs(eigvalsh2(r[:, 0, 0].real, r[:, 1, 1].real,
+                                             r[:, 1, 0])) for r in (rho_l, rho_s))
+    qmis = s_l + s_s - _entropy_from_eigs(w_ls)
     delta_i = np.diff(qmis)
     i_lfs = float(delta_i[delta_i > tol_pos].sum()) if delta_i.size else 0.0
     return delta_i, i_lfs

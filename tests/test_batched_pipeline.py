@@ -13,19 +13,22 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kdqflux.analysis import analyze, analyze_evolved, evolve_runs
+from kdqflux import linalg
+from kdqflux.analysis import (_witness_columns, analyze, analyze_evolved,
+                              evolve_runs)
 from kdqflux.engine import InvariantDriftError, RunConfig, Tolerances
 from kdqflux.model import (ANISOTROPIC, ISOTROPIC, CouplingParams, SpinParams,
-                           ThermalSpec)
+                           ThermalSpec, maximally_entangled_state)
 from kdqflux.tomography import (SingularMapError, affine_to_superoperator, choi,
                                 density_from_bloch, extract_phase_covariant,
-                                time_local_map)
+                                time_local_family, time_local_map)
 from kdqflux.witnesses import (EnergyBasis, avg_energy_change, cp_conditions,
-                               kdq_general, lfs_series, nonpositivity,
+                               kdq_general, lfs_series, nonpositivity, qmi,
                                rhp_increment)
 
 TOL = 1e-12
 SWAP_TAU = np.pi / (2 * 0.2)     # g * tau = pi/2: a full swap
+SPECTRUM_TOL = 1e-14             # closed-form spectra against eigvalsh
 
 
 def _analyze_or_partial(config: RunConfig):
@@ -72,36 +75,162 @@ def _assert_matches_oracle(result) -> None:
     assert [r.n for r in result.records] == list(range(1, len(result.records) + 1))
 
 
-@settings(max_examples=30, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(omega_s=st.floats(0.5, 1.5), omega_m=st.floats(0.5, 1.5),
-       omega_a=st.floats(0.5, 1.5), g_sm=st.floats(0.05, 0.4),
-       g_ma=st.floats(0.05, 0.4), tau1=st.floats(0.0, 1.0),
-       tau2=st.floats(0.0, 1.0), beta=st.floats(0.0, 3.0),
-       gamma=st.floats(-1.0, 1.0), sm_kind=st.sampled_from([ISOTROPIC, ANISOTROPIC]),
-       n_max=st.integers(5, 60),
-       bloch=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, np.pi),
-                       st.floats(0.0, 2 * np.pi)))
-def test_batched_records_match_per_collision_routes(
-        omega_s, omega_m, omega_a, g_sm, g_ma, tau1, tau2, beta, gamma,
-        sm_kind, n_max, bloch):
-    radius, polar, azimuth = bloch
+@st.composite
+def random_configs(draw):
+    """Random configurations over the model's physical parameter ranges."""
+    f = st.floats
+    radius, polar = draw(f(0.0, 1.0)), draw(f(0.0, np.pi))
+    azimuth = draw(f(0.0, 2 * np.pi))
     initial = density_from_bloch(radius * np.array([
         np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth),
         np.cos(polar)]))
-    config = RunConfig(
-        spins=SpinParams(omega_s=omega_s, omega_m=omega_m, omega_a=omega_a),
-        couplings=CouplingParams(g_sm=g_sm, g_ma=g_ma, tau1=tau1, tau2=tau2,
-                                 gamma=gamma, sm_interaction_kind=sm_kind),
-        thermal=ThermalSpec(beta=beta), initial_system=initial, n_max=n_max)
+    return RunConfig(
+        spins=SpinParams(omega_s=draw(f(0.5, 1.5)), omega_m=draw(f(0.5, 1.5)),
+                         omega_a=draw(f(0.5, 1.5))),
+        couplings=CouplingParams(
+            g_sm=draw(f(0.05, 0.4)), g_ma=draw(f(0.05, 0.4)),
+            tau1=draw(f(0.0, 1.0)), tau2=draw(f(0.0, 1.0)),
+            gamma=draw(f(-1.0, 1.0)),
+            sm_interaction_kind=draw(st.sampled_from([ISOTROPIC, ANISOTROPIC]))),
+        thermal=ThermalSpec(beta=draw(f(0.0, 3.0))), initial_system=initial,
+        n_max=draw(st.integers(5, 60)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(config=random_configs())
+def test_batched_records_match_per_collision_routes(config):
     result = _analyze_or_partial(config)
     _assert_matches_oracle(result)
     # the paper's theorem: N_q > 0 only where the step map is not CP
     assert result.summary.implication_violations == 0
-    if sm_kind == ISOTROPIC:
+    if config.couplings.sm_interaction_kind == ISOTROPIC:
         # excitation-number conservation: d vanishes up to round-off
         for rec in result.records:
             assert abs(rec.d) <= 1e-10 and rec.residual <= 1e-10, rec.n
+
+
+def _step_chois(result) -> np.ndarray:
+    steps, _ = time_local_family(result.family)
+    return choi(affine_to_superoperator(steps))[:len(result.records)]
+
+
+def _assert_spectra_match_eigvalsh(result) -> None:
+    """g_n, the minimum Choi eigenvalue and delta_i against eigvalsh."""
+    w = np.linalg.eigvalsh(_step_chois(result))
+    cols = result.columns
+    assert np.abs(cols["g_n"] - (np.abs(w).sum(axis=1) / 2 - 1)).max(
+        initial=0.0) <= SPECTRUM_TOL
+    assert np.abs(cols["choi_min_eig"] - w[:, 0]).max(initial=0.0) <= SPECTRUM_TOL
+    # QMI of J_n / 2 through the eigvalsh entropies of witnesses.qmi
+    chois = choi(affine_to_superoperator(result.family))
+    qmis = np.array([qmi(j / 2) for j in chois])
+    n = len(result.records)
+    # -w log2 w has no Lipschitz bound at w = 0. Where a state J_n / 2 of the
+    # row is rank deficient (tau1 = 0 keeps them pure), each of the row's 16
+    # state and marginal eigenvalues that moves by 1e-15 may move delta_i
+    # by -x log2 x at x = 1e-15 (5e-14), not by a multiple of 1e-15
+    deficient = (np.abs(np.linalg.eigvalsh(chois / 2)) < 1e-12).any(axis=1)
+    tol = np.where(deficient[:-1] | deficient[1:], 16 * 1e-15 * np.log2(1e15),
+                   SPECTRUM_TOL)[:n]
+    assert (np.abs(cols["delta_i"] - np.diff(qmis)[:n]) <= tol).all()
+
+
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(config=random_configs())
+def test_closed_form_spectra_match_eigvalsh(config):
+    _assert_spectra_match_eigvalsh(_analyze_or_partial(config))
+
+
+@pytest.mark.parametrize("config", [
+    # the step map is nearly the identity: near-zero eigenvalues in both blocks
+    RunConfig(couplings=CouplingParams(tau1=1e-3, tau2=1e-3), n_max=60),
+    RunConfig(couplings=CouplingParams(tau2=SWAP_TAU), n_max=60),
+    RunConfig(couplings=CouplingParams(sm_interaction_kind=ANISOTROPIC, gamma=-0.4),
+              n_max=120),
+], ids=["identity_like", "markovian_swap", "anisotropic"])
+def test_closed_form_spectra_match_eigvalsh_on_degenerate_channels(config):
+    _assert_spectra_match_eigvalsh(analyze(config))
+
+
+def _from_choi(j: np.ndarray) -> np.ndarray:
+    """Superoperators of a (n, 4, 4) Choi stack; inverse of ``choi``."""
+    return j.reshape(-1, 2, 2, 2, 2).transpose(0, 2, 4, 1, 3).reshape(j.shape)
+
+
+def _inject_cross_block(j: np.ndarray, size: float, rng) -> np.ndarray:
+    """Add Hermitian entries of magnitude ``size`` between the (0, 3) and
+    (1, 2) blocks of every other member."""
+    j = j.copy()
+    for row, col in ((0, 1), (0, 2), (3, 1), (3, 2)):
+        e = size * np.exp(2j * np.pi * rng.random(len(j[::2])))
+        j[::2, row, col] += e
+        j[::2, col, row] += e.conj()
+    return j
+
+
+def test_off_pattern_members_fall_back_to_eigvalsh(monkeypatch):
+    rng = np.random.default_rng(5)
+    result = analyze(RunConfig(n_max=120))
+    # step maps with off-pattern entries far above linalg.BLOCK_TOL
+    j = _inject_cross_block(_step_chois(result), 1e-3, rng)
+    sops, rho_pre = _from_choi(j), result.physical.system_states[:120]
+
+    def spectra():
+        cols = _witness_columns(sops, rho_pre, result.columns["delta_i"], 1.0)
+        return cols[8], cols[-1]                    # g_n, min Choi eigenvalue
+    g_n, min_eig = spectra()
+    w = np.linalg.eigvalsh(j)
+    assert np.abs(g_n - (np.abs(w).sum(axis=1) / 2 - 1)).max() <= SPECTRUM_TOL
+    assert np.abs(min_eig - w[:, 0]).max() <= SPECTRUM_TOL
+    # the closed form alone would be far off on the injected members
+    monkeypatch.setattr(linalg, "BLOCK_TOL", np.inf)
+    assert np.abs(spectra()[1] - w[:, 0])[::2].min() > 1e-9
+    monkeypatch.undo()
+
+    # reference-system states mixed with a channel that is not phase
+    # covariant (amplitude damping along x), so they stay valid states
+    k0 = np.array([[1, 0], [0, np.sqrt(0.6)]])
+    k1 = np.array([[0, np.sqrt(0.4)], [0, 0]])
+    h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    kraus = [h @ k @ h for k in (k0, k1)]
+    j_x = sum(np.kron(np.eye(2), k) @ (2 * maximally_entangled_state()) @
+              np.kron(np.eye(2), k).conj().T for k in kraus)
+    chois = choi(affine_to_superoperator(result.family))
+    chois[1::2] = 0.9 * chois[1::2] + 0.1 * j_x
+    delta_i, _ = lfs_series(chois)
+    qmis = np.array([qmi(c / 2) for c in chois])
+    assert np.abs(delta_i - np.diff(qmis)).max() <= SPECTRUM_TOL
+    monkeypatch.setattr(linalg, "BLOCK_TOL", np.inf)
+    assert np.abs(lfs_series(chois)[0] - np.diff(qmis)).max() > 1e-9
+
+
+def test_nonpositivity_comes_from_a_negative_diagonal_choi_entry():
+    """On random grids, every row with N_q > tol_pos has a population entry
+    outside [0, 1], a diagonal Choi entry, which bounds the minimum Choi
+    eigenvalue from above."""
+    rng = np.random.default_rng(2026)
+    configs = [RunConfig(
+        spins=SpinParams(*rng.uniform(0.6, 1.4, 3)),
+        couplings=CouplingParams(
+            g_sm=rng.uniform(0.05, 0.4), g_ma=rng.uniform(0.05, 0.4),
+            tau1=rng.uniform(0.05, 0.6), tau2=rng.uniform(0.05, 0.6),
+            gamma=rng.uniform(-1.0, 1.0),
+            sm_interaction_kind=(ISOTROPIC, ANISOTROPIC)[i % 2]),
+        thermal=ThermalSpec(beta=rng.uniform(0.2, 3.0)), n_max=200)
+        for i in range(24)]
+    positive = 0
+    for outcome in _analyze_grid(configs):
+        result = getattr(outcome, "partial_result", outcome)
+        cols, tol_pos = result.columns, result.summary.tol_pos
+        rows = cols["n_q"] > tol_pos
+        a, b = cols["a"][rows], cols["b"][rows]
+        diagonal_min = np.minimum.reduce([a, 1.0 - a, b, 1.0 - b])
+        assert (diagonal_min < 0.0).all()
+        assert (cols["choi_min_eig"][rows] <= diagonal_min + 1e-15).all()
+        positive += int(rows.sum())
+    assert positive >= 1000
 
 
 @pytest.mark.parametrize("config", [

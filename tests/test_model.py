@@ -140,6 +140,19 @@ def test_thermal_is_free_evolution_fixed_point():
     assert np.allclose(u @ rho @ u.conj().T, rho, atol=1e-14)
 
 
+def test_thermal_state_coherences_are_exact_zeros():
+    # the collision loop never writes the blocks of rho_SM (x) rho_A that
+    # these entries would fill
+    rng = np.random.default_rng(7)
+    omegas = np.concatenate([[1.0, 1e-300, 1e300], 10.0 ** rng.uniform(-3, 3, 40)])
+    betas = np.concatenate([[0.0, 1e3], 10.0 ** rng.uniform(-4, 3, 40)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for omega in omegas:
+            for beta in betas:
+                rho = thermal_state(ThermalSpec(beta=beta), omega)
+                assert rho[0, 1] == 0.0 and rho[1, 0] == 0.0, (omega, beta)
+
+
 def test_thermal_validation():
     with pytest.raises(ValueError):
         ThermalSpec(beta=-1.0)

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -10,9 +8,9 @@ from kdqflux.model import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z,
 from kdqflux.tomography import (AffineBlochMap, PROBE_BLOCHS,
                                 SingularMapError, affine_to_superoperator,
                                 apply_superoperator, bloch_vector, choi,
-                                density_from_bloch, export_map_family,
-                                extract_phase_covariant, invert_affine,
-                                reconstruct_affine, time_local_map)
+                                density_from_bloch, extract_phase_covariant,
+                                invert_affine, reconstruct_affine,
+                                time_local_map)
 
 _PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 SWAP_TAU = np.pi / (2 * 0.2)
@@ -297,20 +295,3 @@ def test_choi_block_layout():
             assert np.allclose(j[2 * i:2 * i + 2, 2 * k:2 * k + 2],
                                apply_superoperator(sop, unit), atol=1e-13)
 
-
-# ------------------------------------------------------------------ export
-
-def test_export_map_family_roundtrip(tmp_path):
-    config = RunConfig(n_max=6)
-    maps = reconstruct_map_family(run_probe_bundle(config))
-    entries = [extract_phase_covariant(affine_to_superoperator(m)) for m in maps]
-    path = tmp_path / "maps.jsonl"
-    export_map_family(path, maps, entries)
-    lines = path.read_text().splitlines()
-    assert len(lines) == 7
-    rec = json.loads(lines[3])
-    assert rec["n"] == 3
-    assert np.allclose(np.array(rec["M"]).reshape(3, 3), maps[3].m, atol=1e-15)
-    assert np.allclose(rec["c"], maps[3].c, atol=1e-15)
-    assert rec["a"] == pytest.approx(entries[3].a)
-    assert rec["residual"] <= 1e-12
