@@ -12,11 +12,9 @@ import numpy as np
 from kdqflux import (CouplingParams, SpinParams, ThermalSpec,
                      collision_unitaries, heisenberg_interaction,
                      local_hamiltonian, maximally_entangled_state,
-                     probe_states, thermal_state)
-from kdqflux.linalg import is_psd, kron
+                     probe_states, qmi, thermal_state)
 from kdqflux.model import IDENTITY_2, SIGMA_Z
 from kdqflux.tomography import bloch_vector
-from kdqflux.witnesses import qmi
 
 np.set_printoptions(precision=4, suppress=True, linewidth=100)
 
@@ -26,7 +24,7 @@ print(local_hamiltonian(1.0).real)
 print("\n=== Heisenberg exchange, g = 0.2 ===")
 h_sm = heisenberg_interaction(0.2)
 print(h_sm.real)
-mag = kron(SIGMA_Z, IDENTITY_2) + kron(IDENTITY_2, SIGMA_Z)
+mag = np.kron(SIGMA_Z, IDENTITY_2) + np.kron(IDENTITY_2, SIGMA_Z)
 print("commutes with total z-magnetization:",
       np.max(np.abs(h_sm @ mag - mag @ h_sm)) < 1e-14)
 
@@ -34,7 +32,7 @@ print("\n=== thermal qubit at beta = 1, omega = 1 ===")
 rho_th = thermal_state(ThermalSpec(beta=1.0), 1.0)
 print(rho_th.real)
 print("Bloch vector:", bloch_vector(rho_th), " (z = -tanh(1/2) = %.4f)" % -np.tanh(0.5))
-print("positive semidefinite:", is_psd(rho_th))
+print("positive semidefinite:", np.linalg.eigvalsh(rho_th).min() >= 0.0)
 
 print("\n=== collision propagators (resonant reference parameters) ===")
 u_sm, u_ma = collision_unitaries(SpinParams(), CouplingParams())

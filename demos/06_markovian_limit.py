@@ -23,12 +23,11 @@ print(f"  I_RHP    = {result.summary.i_rhp:.2e}")
 print(f"  I_LFS    = {result.summary.i_lfs:.2e}")
 
 # the single-step map settles immediately: compare a few Bloch matrices
-from kdqflux.tomography import time_local_map  # noqa: E402
+from kdqflux.tomography import time_local_family  # noqa: E402
 
-tl2 = time_local_map(result.maps[2], result.maps[1])
-tl9 = time_local_map(result.maps[9], result.maps[8])
+steps, _ = time_local_family(result.family)    # member n - 1 is step n
 print(f"  step-map drift between collisions 2 and 9: "
-      f"{np.max(np.abs(tl2.m - tl9.m)):.2e}")
+      f"{np.max(np.abs(steps.m[1] - steps.m[8])):.2e}")
 
 print("\nthe same configuration with a partial swap instead (tau2 = 0.2)")
 partial = analyze(RunConfig(n_max=150))

@@ -10,20 +10,15 @@ increments of a correlated reference (LFS), and the average energy change.
 """
 
 from .analysis import RunResult, RunSummary, analyze
-from .engine import (RunConfig, Tolerances, Trajectory, collision_step,
-                     run_probe_bundle, run_trajectory)
+from .engine import RunConfig, Tolerances, Trajectory, evolve_grid
 from .model import (CouplingParams, SpinParams, ThermalSpec,
                     anisotropic_sm_interaction, collision_unitaries,
                     heisenberg_interaction, local_hamiltonian,
                     maximally_entangled_state, probe_states, thermal_state)
-from .tomography import (AffineBlochMap, PhaseCovariantEntries,
-                         SingularMapError, affine_to_superoperator,
-                         bloch_vector, choi, density_from_bloch,
-                         extract_phase_covariant, invert_affine,
-                         reconstruct_affine, time_local_map)
-from .witnesses import (EnergyBasis, KdqDistribution, WitnessRecord,
-                        avg_energy_change, cp_conditions, kdq_closed_form,
-                        kdq_general, lfs_series, nonpositivity, qmi,
-                        rhp_increment, rhp_measure)
+from .tomography import (AffineBlochMap, SingularMapError,
+                         affine_to_superoperator, bloch_vector, choi,
+                         density_from_bloch, reconstruct_affine,
+                         time_local_family)
+from .witnesses import WitnessRecord, lfs_series, qmi
 
 __version__ = "0.1.0"

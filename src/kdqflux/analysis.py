@@ -14,10 +14,6 @@ CP margins (``linalg.block_eigvalsh``). The KDQ non-positivity N_q,
 the phase covariant entries, the CP margins and <dE> are elementwise array
 expressions. Record n describes collision n (the step from state n-1 to
 state n); its ``delta_i`` is the QMI change realized by that collision.
-
-The per-collision routes (``time_local_map``, ``affine_to_superoperator``,
-``kdq_general``, ``rhp_increment``) stay public as the reference the batched
-pass is tested against.
 """
 
 import time
@@ -58,7 +54,8 @@ class RunResult:
 
     ``columns`` maps each WitnessRecord field to its (n,) array over
     collisions 1..n; ``family`` stacks the cumulative maps, n = 0..n_max.
-    ``records`` and ``maps`` are the same values as objects, built on first use.
+    ``records`` holds the same values as WitnessRecord objects, built on
+    first use.
     """
 
     config: RunConfig
@@ -68,10 +65,6 @@ class RunResult:
     columns: dict[str, np.ndarray]
     summary: RunSummary
     elapsed: float = field(default=0.0, repr=False)
-
-    @cached_property
-    def maps(self) -> list[AffineBlochMap]:
-        return self.family.unstack()
 
     @cached_property
     def records(self) -> list[WitnessRecord]:
@@ -90,11 +83,6 @@ def probe_bloch_history(probes) -> np.ndarray:
     stacks = np.stack([t.system_states for t in probes], axis=1)
     pauli = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
     return np.einsum("pij,nkji->nkp", pauli, stacks).real
-
-
-def reconstruct_map_family(probes) -> list[AffineBlochMap]:
-    """Cumulative affine maps from the probe trajectories."""
-    return tomography.reconstruct_affine(probe_bloch_history(probes)).unstack()
 
 
 def _witness_columns(sops: np.ndarray, rho_pre: np.ndarray,
@@ -160,18 +148,15 @@ def analyze_evolved(config: RunConfig,
     """
     if t_start is None:
         t_start = time.perf_counter()
-    tol = config.tolerances
     error: SingularMapError | engine.InvariantDriftError | None = None
     if isinstance(evolved, engine.InvariantDriftError):
         evolved, error = evolved.trajectories, evolved
     physical, probes = evolved[0], tuple(evolved[1:])
 
     family = tomography.reconstruct_affine(probe_bloch_history(probes))
-    delta_i, _ = witnesses.lfs_series(
-        tomography.choi(tomography.affine_to_superoperator(family)),
-        tol_pos=tol.tol_pos)
-    steps, singular = tomography.time_local_family(
-        family, cond_threshold=tol.cond_threshold, det_floor=tol.singular_det)
+    delta_i = witnesses.lfs_series(
+        tomography.choi(tomography.affine_to_superoperator(family)))
+    steps, singular = tomography.time_local_family(family)
     if singular is not None:
         error = singular
     sops = tomography.affine_to_superoperator(steps)
@@ -181,7 +166,8 @@ def analyze_evolved(config: RunConfig,
     result = RunResult(
         config=config, physical=physical, probes=probes, family=family,
         columns=columns,
-        summary=summarize(columns, n_max=config.n_max, tol_pos=tol.tol_pos),
+        summary=summarize(columns, n_max=config.n_max,
+                          tol_pos=config.tolerances.tol_pos),
         elapsed=time.perf_counter() - t_start)
     if error is not None:
         error.partial_result = result
@@ -208,7 +194,8 @@ def summarize(columns, n_max: int, tol_pos: float = 1e-10) -> RunSummary:
 
     ``columns`` is a table like ``RunResult.columns``; an empty one means no
     collisions. I_RHP, I_LFS and sum N_q all add up the values that exceed
-    ``tol_pos``. The maxima are taken with Python's ``max`` and ``abs``.
+    ``tol_pos``, so round-off increments of a CP-divisible run count as zero
+    in all three. The maxima are taken with Python's ``max`` and ``abs``.
     """
     columns = dict(columns) or dict.fromkeys(_FIELDS, np.empty(0))
     nq, g, delta_i, steps = (columns[k] for k in ("n_q", "g_n", "delta_i", "n"))
@@ -223,7 +210,7 @@ def summarize(columns, n_max: int, tol_pos: float = 1e-10) -> RunSummary:
     first_g, last_g = first_last(g)
     return RunSummary(
         n_max=n_max,
-        i_rhp=witnesses.rhp_measure(g, tol_pos=tol_pos),
+        i_rhp=float(g[g > tol_pos].sum()),
         i_lfs=float(delta_i[delta_i > tol_pos].sum()),
         sum_nq=float(nq[nq > tol_pos].sum()),
         first_nq_positive=first_nq, last_nq_positive=last_nq,

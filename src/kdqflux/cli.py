@@ -151,17 +151,6 @@ def _validate(values: dict) -> dict:
     v.update(values)
     if v["kind"] not in _KINDS:
         raise InvalidValueError("kind", f"must be one of {_KINDS}")
-    if v["beta"] < 0:
-        raise InvalidValueError("beta", "must be >= 0")
-    if v["tau1"] < 0 or v["tau2"] < 0:
-        raise InvalidValueError("tau1" if v["tau1"] < 0 else "tau2", "must be >= 0")
-    if not -1.0 <= v["gamma"] <= 1.0:
-        raise InvalidValueError("gamma", "must lie in [-1, 1]")
-    if v["n_max"] < 0:
-        raise InvalidValueError("n_max", "must be >= 0")
-    if v["sm_kind"] not in (ISOTROPIC, ANISOTROPIC):
-        raise InvalidValueError("sm_kind",
-                                f"must be {ISOTROPIC!r} or {ANISOTROPIC!r}")
     formats = tuple(f.strip() for f in str(v["formats"]).split(",") if f.strip())
     if not formats or any(f not in ("csv", "json") for f in formats):
         raise InvalidValueError("formats", "must be a subset of csv,json")

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model
-from .linalg import partial_trace
 
 # Density-matrix invariant drift beyond this aborts a run.
 DRIFT_TOL = 1e-8
@@ -31,7 +30,7 @@ class InvariantDriftError(RuntimeError):
     that collision, so a caller can still analyze the valid prefix.
     """
 
-    def __init__(self, message: str, step: int | None = None):
+    def __init__(self, message: str, step: int):
         self.step = step
         self.trajectories: list[Trajectory] | None = None
         super().__init__(message)
@@ -43,8 +42,6 @@ class Tolerances:
 
     drift: float = DRIFT_TOL          # density-matrix invariant violation -> abort
     tol_pos: float = 1e-10            # threshold for declaring N_q, g_n, dI positive
-    singular_det: float = 1e-12       # |det M| below this -> singular map
-    cond_threshold: float = 1e8       # condition estimate above this -> singular map
 
 
 @dataclass(frozen=True)
@@ -65,6 +62,9 @@ class RunConfig:
         rho = np.asarray(self.initial_system, dtype=complex)
         if rho.shape != (2, 2):
             raise ValueError("initial_system must be a 2x2 density matrix")
+        if not np.isfinite(rho).all():
+            # every comparison below is False for a NaN entry
+            raise ValueError("initial_system entries must be finite")
         if (np.max(np.abs(rho - rho.conj().T)) > self.tolerances.drift
                 or abs(np.trace(rho) - 1.0) > self.tolerances.drift
                 or np.linalg.eigvalsh((rho + rho.conj().T) / 2).min()
@@ -78,29 +78,9 @@ class Trajectory:
     """Recorded states of one run; index n = 0 is the pre-collision state."""
 
     system_states: np.ndarray          # (n_max + 1, 2, 2)
-    joint_states: np.ndarray | None = None   # (n_max + 1, 4, 4) when kept
 
     def __len__(self) -> int:
         return self.system_states.shape[0]
-
-
-def collision_step(rho_sm: np.ndarray, unitaries: tuple[np.ndarray, np.ndarray],
-                   env_state: np.ndarray, drift_tol: float = DRIFT_TOL) -> np.ndarray:
-    """Apply one full collision to the joint S-M state.
-
-    Returns the updated 4x4 joint state after tracing out the environment
-    qubit; aborts if trace, Hermiticity or positivity drift beyond
-    ``drift_tol``.
-    """
-    u_sm, u_ma = unitaries
-    x = np.kron(rho_sm, env_state)
-    x = u_sm @ x @ u_sm.conj().T
-    sm = partial_trace(x, [4, 2], keep=[0])
-    y = np.kron(sm, env_state)
-    y = u_ma @ y @ u_ma.conj().T
-    out = partial_trace(y, [4, 2], keep=[0])
-    _check_states(out[np.newaxis], drift_tol, collision=None)
-    return out
 
 
 # The collision loop keeps its stack of G x k joint states in the layout
@@ -115,19 +95,6 @@ CHECK_BLOCK = 64
 # The drift check's Cholesky shift stays this far below the tolerance, well
 # above the few 1e-16 of rounding in Cholesky and eigvalsh of a 4x4 state.
 CHOLESKY_MARGIN = 1e-14
-
-
-def _check_states(stack: np.ndarray, drift_tol: float, collision: int | None):
-    """Validate density-matrix invariants on a stack of states."""
-    herm = np.max(np.abs(stack - stack.conj().transpose(0, 2, 1)))
-    tr = np.max(np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0))
-    min_eig = np.linalg.eigvalsh(stack).min()
-    if herm > drift_tol or tr > drift_tol or min_eig < -drift_tol:
-        where = "" if collision is None else f" at collision {collision}"
-        raise InvariantDriftError(
-            f"density-matrix invariants violated{where}: "
-            f"hermiticity {herm:.2e}, trace {tr:.2e}, min eigenvalue {min_eig:.2e}",
-            step=collision)
 
 
 def _check_block(states: np.ndarray, start: int, drift_tol: np.ndarray,
@@ -171,7 +138,7 @@ def _check_block(states: np.ndarray, start: int, drift_tol: np.ndarray,
                 f"min eigenvalue {min_eig[j]:.2e}", step=start + n)
 
 
-def evolve_grid(configs, initial_systems: np.ndarray, keep_joint: bool = False
+def evolve_grid(configs, initial_systems: np.ndarray
                 ) -> list[list[Trajectory] | InvariantDriftError]:
     """Evolve the same initial states under every configuration at once.
 
@@ -207,7 +174,6 @@ def evolve_grid(configs, initial_systems: np.ndarray, keep_joint: bool = False
 
     n1 = n_max + 1
     system = np.empty((n1, g, k, 2, 2), dtype=complex)
-    joint = np.empty((n1, g, k, 4, 4), dtype=complex) if keep_joint else None
     block = np.empty((min(CHECK_BLOCK, n1), g, k, 4, 4), dtype=complex)
     errors: list[InvariantDriftError | None] = [None] * g
 
@@ -242,53 +208,16 @@ def evolve_grid(configs, initial_systems: np.ndarray, keep_joint: bool = False
             states, start = block[:j + 1], n - j
             system[start:n + 1] = np.einsum(
                 "ngkaibi->ngkab", states.reshape(j + 1, g, k, 2, 2, 2, 2))
-            if keep_joint:
-                joint[start:n + 1] = states
             _check_block(states, start, drift_tol, errors)
 
     outcomes = []
     for p, error in enumerate(errors):
         stop = n1 if error is None else error.step
-        trajectories = [
-            Trajectory(system_states=system[:stop, p, i],
-                       joint_states=joint[:stop, p, i] if keep_joint else None)
-            for i in range(k)]
+        trajectories = [Trajectory(system_states=system[:stop, p, i])
+                        for i in range(k)]
         if error is None:
             outcomes.append(trajectories)
         else:
             error.trajectories = trajectories
             outcomes.append(error)
     return outcomes
-
-
-def evolve_batch(config: RunConfig, initial_systems: np.ndarray,
-                 keep_joint: bool = False) -> list[Trajectory]:
-    """Run one trajectory per initial system state, sharing all parameters.
-
-    ``initial_systems`` has shape (k, 2, 2). This is ``evolve_grid`` of one
-    point: a violation raises its InvariantDriftError, with the first
-    offending collision as ``step`` and the trajectories truncated before it
-    attached.
-    """
-    (outcome,) = evolve_grid([config], initial_systems, keep_joint)
-    if isinstance(outcome, InvariantDriftError):
-        raise outcome
-    return outcome
-
-
-def run_trajectory(config: RunConfig, keep_joint: bool = False) -> Trajectory:
-    """Evolve ``config.initial_system`` for ``config.n_max`` collisions."""
-    return evolve_batch(config, config.initial_system[np.newaxis],
-                        keep_joint=keep_joint)[0]
-
-
-def run_probe_bundle(config: RunConfig) -> tuple[Trajectory, Trajectory,
-                                                 Trajectory, Trajectory]:
-    """Trajectories of the four tomography probes under ``config``'s dynamics.
-
-    The probes replace the initial system state; memory and environment
-    initialization and all parameters are identical across the four runs.
-    """
-    probes = np.stack(model.probe_states())
-    t0, t1, tp, tr = evolve_batch(config, probes)
-    return t0, t1, tp, tr

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import exp_hermitian_generator, kron
+from .linalg import exp_hermitian_generator
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -73,6 +73,10 @@ class CouplingParams:
         return self.tau1 + self.tau2
 
     def __post_init__(self):
+        for name in ("g_sm", "g_ma", "tau1", "tau2", "aniso_strength"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if self.tau1 < 0 or self.tau2 < 0:
             raise ValueError("collision durations tau1, tau2 must be >= 0")
         if not -1.0 <= self.gamma <= 1.0:
@@ -102,8 +106,8 @@ def local_hamiltonian(omega: float) -> np.ndarray:
 
 def heisenberg_interaction(g: float) -> np.ndarray:
     """(g/2)(XX + YY + ZZ) on two qubits; conserves total z-magnetization."""
-    return (g / 2.0) * (kron(SIGMA_X, SIGMA_X) + kron(SIGMA_Y, SIGMA_Y)
-                        + kron(SIGMA_Z, SIGMA_Z))
+    return (g / 2.0) * (np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Y, SIGMA_Y)
+                        + np.kron(SIGMA_Z, SIGMA_Z))
 
 
 def anisotropic_sm_interaction(gamma: float, strength: float = 1.0) -> np.ndarray:
@@ -114,9 +118,9 @@ def anisotropic_sm_interaction(gamma: float, strength: float = 1.0) -> np.ndarra
     """
     if not -1.0 <= gamma <= 1.0:
         raise ValueError(f"gamma={gamma} outside [-1, 1]")
-    return strength * ((1.0 - gamma) / 2.0 * kron(SIGMA_X, SIGMA_X)
-                       + (1.0 + gamma) / 2.0 * kron(SIGMA_Y, SIGMA_Y)
-                       + kron(SIGMA_Z, SIGMA_Z))
+    return strength * ((1.0 - gamma) / 2.0 * np.kron(SIGMA_X, SIGMA_X)
+                       + (1.0 + gamma) / 2.0 * np.kron(SIGMA_Y, SIGMA_Y)
+                       + np.kron(SIGMA_Z, SIGMA_Z))
 
 
 def _sm_hamiltonian(couplings: CouplingParams) -> np.ndarray:
@@ -136,13 +140,14 @@ def collision_unitaries(spins: SpinParams,
     ``u_ma`` the memory-environment collision of duration tau2; both include
     the free evolution of all three qubits.
     """
-    h_free = (kron(kron(local_hamiltonian(spins.omega_s), IDENTITY_2), IDENTITY_2)
-              + kron(kron(IDENTITY_2, local_hamiltonian(spins.omega_m)), IDENTITY_2)
-              + kron(kron(IDENTITY_2, IDENTITY_2), local_hamiltonian(spins.omega_a)))
+    h_free = (
+        np.kron(np.kron(local_hamiltonian(spins.omega_s), IDENTITY_2), IDENTITY_2)
+        + np.kron(np.kron(IDENTITY_2, local_hamiltonian(spins.omega_m)), IDENTITY_2)
+        + np.kron(np.kron(IDENTITY_2, IDENTITY_2), local_hamiltonian(spins.omega_a)))
     u_sm = exp_hermitian_generator(
-        h_free + kron(_sm_hamiltonian(couplings), IDENTITY_2), couplings.tau1)
+        h_free + np.kron(_sm_hamiltonian(couplings), IDENTITY_2), couplings.tau1)
     u_ma = exp_hermitian_generator(
-        h_free + kron(IDENTITY_2, heisenberg_interaction(couplings.g_ma)),
+        h_free + np.kron(IDENTITY_2, heisenberg_interaction(couplings.g_ma)),
         couplings.tau2)
     return u_sm, u_ma
 

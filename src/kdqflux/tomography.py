@@ -28,13 +28,10 @@ from .model import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 _PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 
-# Bloch vectors of the probe states, in the fixed order (P0, P1, P+, PR).
-PROBE_BLOCHS = np.array([
-    [0.0, 0.0, 1.0],
-    [0.0, 0.0, -1.0],
-    [1.0, 0.0, 0.0],
-    [0.0, 1.0, 0.0],
-])
+# A predecessor map with |det M| below SINGULAR_DET, or a Frobenius condition
+# estimate ||M||_F ||M^-1||_F above COND_THRESHOLD, cannot be inverted.
+SINGULAR_DET = 1e-12
+COND_THRESHOLD = 1e8
 
 # Superoperator entries forced to vanish by phase covariance, as (rows, cols).
 _OFF_ROWS, _OFF_COLS = np.array(
@@ -44,13 +41,12 @@ _OFF_ROWS, _OFF_COLS = np.array(
 class SingularMapError(RuntimeError):
     """A reconstructed map is not invertible; trajectory analysis halts."""
 
-    def __init__(self, det: float, cond: float, step: int | None = None):
+    def __init__(self, det: float, cond: float, step: int):
         self.det = det
         self.cond = cond
         self.step = step
-        where = "" if step is None else f" at step {step}"
         super().__init__(
-            f"singular Bloch map{where}: |det M| = {abs(det):.3e}, "
+            f"singular Bloch map at step {step}: |det M| = {abs(det):.3e}, "
             f"condition estimate {cond:.3e}")
 
 
@@ -72,41 +68,6 @@ class AffineBlochMap:
         if not (np.all(np.isfinite(self.m)) and np.all(np.isfinite(self.c))):
             raise ValueError("AffineBlochMap entries must be finite")
 
-    def apply(self, bloch: np.ndarray) -> np.ndarray:
-        return self.m @ np.asarray(bloch, dtype=float) + self.c
-
-    def unstack(self) -> list["AffineBlochMap"]:
-        """The members of a one-dimensional stack, as single maps.
-
-        The stack was validated as a whole, so its members (views into it)
-        are not validated again one by one.
-        """
-        members = []
-        for m, c in zip(self.m, self.c):
-            member = object.__new__(AffineBlochMap)
-            object.__setattr__(member, "m", m)
-            object.__setattr__(member, "c", c)
-            members.append(member)
-        return members
-
-
-@dataclass(frozen=True)
-class PhaseCovariantEntries:
-    """Scalars (a, b, c, d) of the phase covariant superoperator pattern.
-
-    ``off_pattern_residual`` is the largest magnitude found in entries the
-    pattern forces to zero (including imaginary parts of a and b); it is
-    reported rather than silently dropped, and ``within_tol`` records whether
-    it passed the extraction tolerance.
-    """
-
-    a: float
-    b: float
-    c: complex
-    d: complex
-    off_pattern_residual: float
-    within_tol: bool
-
 
 def bloch_vector(rho: np.ndarray) -> np.ndarray:
     """Bloch vector (Tr[sigma_x rho], Tr[sigma_y rho], Tr[sigma_z rho])."""
@@ -119,8 +80,7 @@ def density_from_bloch(r: np.ndarray) -> np.ndarray:
     return 0.5 * (IDENTITY_2 + r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z)
 
 
-def reconstruct_affine(probe_blochs_at_n: np.ndarray,
-                       probe_blochs_at_0: np.ndarray = PROBE_BLOCHS) -> AffineBlochMap:
+def reconstruct_affine(probe_blochs_at_n: np.ndarray) -> AffineBlochMap:
     """Affine map from the evolved Bloch vectors of the four probes.
 
     ``probe_blochs_at_n`` holds the step-n Bloch vectors of (P0, P1, P+, PR)
@@ -133,8 +93,6 @@ def reconstruct_affine(probe_blochs_at_n: np.ndarray,
     b = np.asarray(probe_blochs_at_n, dtype=float)
     if b.shape[-2:] != (4, 3):
         raise ValueError("expected four Bloch vectors as a (..., 4, 3) array")
-    if not np.allclose(np.asarray(probe_blochs_at_0), PROBE_BLOCHS):
-        raise ValueError("probe set must be the canonical (P0, P1, P+, PR)")
     b0, b1, bp, br = (b[..., i, :] for i in range(4))
     c = (b0 + b1) / 2.0
     m = np.stack([bp - c, br - c, (b0 - b1) / 2.0], axis=-1)
@@ -164,51 +122,19 @@ def _adjugate3(m: np.ndarray) -> np.ndarray:
     return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
 
-def invert_affine(bloch_map: AffineBlochMap,
-                  cond_threshold: float = 1e8,
-                  det_floor: float = 1e-12,
-                  step: int | None = None) -> AffineBlochMap:
-    """Inverse map (M^-1, -M^-1 c), by explicit 3x3 adjugate.
-
-    Raises SingularMapError when |det M| < ``det_floor`` or the Frobenius
-    condition estimate ||M||_F ||M^-1||_F exceeds ``cond_threshold``.
-    """
-    det = float(_det3(bloch_map.m))
-    if abs(det) < det_floor:
-        raise SingularMapError(det=det, cond=float("inf"), step=step)
-    m_inv = _adjugate3(bloch_map.m) / det
-    cond = float(np.linalg.norm(bloch_map.m) * np.linalg.norm(m_inv))
-    if cond > cond_threshold:
-        raise SingularMapError(det=det, cond=cond, step=step)
-    return AffineBlochMap(m=m_inv, c=-m_inv @ bloch_map.c)
-
-
-def time_local_map(lambda_n: AffineBlochMap, lambda_nm1: AffineBlochMap,
-                   cond_threshold: float = 1e8,
-                   det_floor: float = 1e-12,
-                   step: int | None = None) -> AffineBlochMap:
-    """Single-step propagator composing lambda_n with the inverse of lambda_nm1.
-
-    M^tl = M_n M_{n-1}^-1 and c^tl = M_n c~_{n-1} + c_n, where (M~, c~) is
-    the inverted predecessor map.
-    """
-    inv = invert_affine(lambda_nm1, cond_threshold=cond_threshold,
-                        det_floor=det_floor, step=step)
-    return AffineBlochMap(m=lambda_n.m @ inv.m,
-                          c=lambda_n.m @ inv.c + lambda_n.c)
-
-
-def time_local_family(family: AffineBlochMap, cond_threshold: float = 1e8,
-                      det_floor: float = 1e-12
+def time_local_family(family: AffineBlochMap
                       ) -> tuple[AffineBlochMap, SingularMapError | None]:
     """Single-step maps of a whole cumulative family in one array pass.
 
     ``family`` is the one-dimensional stack (M_n, c_n), n = 0..N. Member
-    n - 1 of the returned stack is the step-n map of :func:`time_local_map`,
-    M_n M_{n-1}^-1 with shift M_n c~_{n-1} + c_n. Every predecessor is
-    checked as :func:`invert_affine` checks it. The stack stops before the
-    first step whose predecessor is singular, and the SingularMapError of
-    that step is returned with it; the error is None when all N steps exist.
+    n - 1 of the returned stack is the step-n map, lambda_n composed with
+    the inverse of lambda_{n-1}: M_n M~_{n-1} with shift M_n c~_{n-1} + c_n,
+    where (M~, c~) = (M^-1, -M^-1 c) is the inverse map, taken by explicit
+    3x3 adjugate. A predecessor is singular when |det M| < ``SINGULAR_DET``
+    or its Frobenius condition estimate exceeds ``COND_THRESHOLD``. The
+    stack stops before the first step whose predecessor is singular, and the
+    SingularMapError of that step is returned with it; the error is None
+    when all N steps exist.
     """
     m_prev, c_prev = family.m[:-1], family.c[:-1]
     det = _det3(m_prev)
@@ -216,8 +142,8 @@ def time_local_family(family: AffineBlochMap, cond_threshold: float = 1e8,
         m_inv = _adjugate3(m_prev) / det[:, np.newaxis, np.newaxis]
         cond = (np.linalg.norm(m_prev, axis=(1, 2))
                 * np.linalg.norm(m_inv, axis=(1, 2)))
-    small = np.abs(det) < det_floor
-    bad = small | (cond > cond_threshold)
+    small = np.abs(det) < SINGULAR_DET
+    bad = small | (cond > COND_THRESHOLD)
     error = None
     steps = len(det)
     if bad.any():
@@ -257,11 +183,6 @@ def affine_to_superoperator(bloch_map: AffineBlochMap) -> np.ndarray:
     return np.stack(cols, axis=-1)
 
 
-def apply_superoperator(sop: np.ndarray, operator: np.ndarray) -> np.ndarray:
-    """Action of a superoperator on a 2x2 operator."""
-    return (sop @ operator.reshape(4)).reshape(2, 2)
-
-
 def _off_pattern_residual(sop: np.ndarray) -> np.ndarray:
     """Largest magnitude among the entries phase covariance forces to zero,
     including the imaginary parts of a and b; one value per member of a
@@ -269,22 +190,6 @@ def _off_pattern_residual(sop: np.ndarray) -> np.ndarray:
     return np.maximum(np.abs(sop[..., _OFF_ROWS, _OFF_COLS]).max(axis=-1),
                       np.maximum(np.abs(sop[..., 0, 0].imag),
                                  np.abs(sop[..., 0, 3].imag)))
-
-
-def extract_phase_covariant(sop: np.ndarray, tol: float = 1e-10) -> PhaseCovariantEntries:
-    """Read (a, b, c, d) off the superoperator and report the pattern residual.
-
-    Entries are returned even when the residual exceeds ``tol``; callers
-    decide what to do with a flagged extraction.
-    """
-    a = sop[0, 0]
-    b = sop[0, 3]
-    residual = _off_pattern_residual(sop)
-    return PhaseCovariantEntries(
-        a=float(a.real), b=float(b.real),
-        c=complex(sop[1, 1]), d=complex(sop[1, 2]),
-        off_pattern_residual=float(residual),
-        within_tol=bool(residual <= tol))
 
 
 def choi(sop: np.ndarray) -> np.ndarray:

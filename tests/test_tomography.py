@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
 
-from kdqflux.analysis import probe_bloch_history, reconstruct_map_family
-from kdqflux.engine import RunConfig, run_probe_bundle, run_trajectory
+from kdqflux.analysis import analyze, evolve_runs, probe_bloch_history
+from kdqflux.engine import RunConfig, evolve_grid
 from kdqflux.model import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z,
                            CouplingParams)
-from kdqflux.tomography import (AffineBlochMap, PROBE_BLOCHS,
-                                SingularMapError, affine_to_superoperator,
-                                apply_superoperator, bloch_vector, choi,
-                                density_from_bloch, extract_phase_covariant,
-                                invert_affine, reconstruct_affine,
-                                time_local_map)
+from kdqflux.tomography import (AffineBlochMap, _off_pattern_residual,
+                                affine_to_superoperator, bloch_vector, choi,
+                                density_from_bloch, reconstruct_affine,
+                                time_local_family)
+from oracles import apply_superoperator
 
 _PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+# Bloch vectors of the probe states, in the order (P0, P1, P+, PR)
+# that reconstruct_affine reads
+PROBE_BLOCHS = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0],
+                         [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 SWAP_TAU = np.pi / (2 * 0.2)
 
 
@@ -23,6 +26,15 @@ def identity_map() -> AffineBlochMap:
 def random_map(rng, scale=0.4) -> AffineBlochMap:
     return AffineBlochMap(m=np.eye(3) * 0.5 + rng.normal(scale=scale, size=(3, 3)),
                           c=rng.normal(scale=0.2, size=3))
+
+
+def inverse(bloch_map: AffineBlochMap):
+    """The inverse map and the SingularMapError or None, as the step map of
+    the family (bloch_map, identity) from ``time_local_family``."""
+    steps, error = time_local_family(AffineBlochMap(
+        m=np.stack([bloch_map.m, np.eye(3)]), c=np.stack([bloch_map.c, np.zeros(3)])))
+    return (AffineBlochMap(m=steps.m[0], c=steps.c[0]) if len(steps.m) else None,
+            error)
 
 
 def random_density(rng):
@@ -74,41 +86,42 @@ def test_reconstruct_unevolved_probes_gives_identity():
 def test_reconstruct_full_swap_collision():
     # one full S-M swap with a thermal memory: constant map onto the memory
     config = RunConfig(couplings=CouplingParams(tau1=SWAP_TAU), n_max=1)
-    blochs = probe_bloch_history(run_probe_bundle(config))
+    blochs = probe_bloch_history(evolve_runs([config])[0][1:])
     out = reconstruct_affine(blochs[1])
     assert np.max(np.abs(out.m)) <= 1e-12
     assert np.allclose(out.c, [0.0, 0.0, -np.tanh(0.5)], atol=1e-12)
 
 
 def test_reconstruct_rejects_noncanonical_probes():
+    # the four probes (P0, P1, P+, PR) fix the map; three do not
     with pytest.raises(ValueError):
-        reconstruct_affine(PROBE_BLOCHS, probe_blochs_at_0=np.eye(4, 3))
+        reconstruct_affine(PROBE_BLOCHS[:3])
 
 
 def test_reconstructed_map_predicts_direct_evolution():
     config = RunConfig(n_max=40)
-    maps = reconstruct_map_family(run_probe_bundle(config))
+    family = analyze(config).family
     rng = np.random.default_rng(9)
-    for _ in range(5):
-        rho0 = random_density(rng)
-        direct = run_trajectory(
-            RunConfig(initial_system=rho0, n_max=40)).system_states
-        r0 = bloch_vector(rho0)
+    rho0 = np.stack([random_density(rng) for _ in range(5)])
+    (trajectories,) = evolve_grid([config], rho0)
+    for rho, traj in zip(rho0, trajectories):
+        r0 = bloch_vector(rho)
         for n in (1, 17, 40):
-            assert np.linalg.norm(maps[n].apply(r0) - bloch_vector(direct[n])) <= 1e-9
+            mapped = family.m[n] @ r0 + family.c[n]
+            assert np.linalg.norm(mapped - bloch_vector(traj.system_states[n])) <= 1e-9
 
 
 # ------------------------------------------------------------------ inverse
 
 def test_invert_identity():
-    out = invert_affine(identity_map())
+    out, _ = inverse(identity_map())
     assert np.allclose(out.m, np.eye(3), atol=1e-14)
     assert np.allclose(out.c, 0.0, atol=1e-14)
 
 
 def test_invert_diagonal_example():
-    out = invert_affine(AffineBlochMap(m=np.diag([0.5, 0.5, 0.25]),
-                                       c=np.array([0, 0, 0.1])))
+    out, _ = inverse(AffineBlochMap(m=np.diag([0.5, 0.5, 0.25]),
+                                    c=np.array([0, 0, 0.1])))
     assert np.allclose(out.m, np.diag([2.0, 2.0, 4.0]), atol=1e-12)
     assert np.allclose(out.c, [0, 0, -0.4], atol=1e-12)
 
@@ -117,7 +130,7 @@ def test_invert_is_involution():
     rng = np.random.default_rng(13)
     for _ in range(10):
         bm = random_map(rng)
-        twice = invert_affine(invert_affine(bm))
+        twice, _ = inverse(inverse(bm)[0])
         assert np.max(np.abs(twice.m - bm.m)) <= 1e-12
         assert np.max(np.abs(twice.c - bm.c)) <= 1e-12
 
@@ -125,22 +138,26 @@ def test_invert_is_involution():
 def test_invert_matches_numpy_inverse():
     rng = np.random.default_rng(17)
     bm = random_map(rng)
-    out = invert_affine(bm)
+    out, _ = inverse(bm)
     assert np.allclose(out.m, np.linalg.inv(bm.m), atol=1e-12)
 
 
 def test_invert_singular_raises_with_diagnostics():
-    with pytest.raises(SingularMapError) as exc_info:
-        invert_affine(AffineBlochMap(m=np.zeros((3, 3)), c=np.zeros(3)), step=7)
-    assert exc_info.value.step == 7
-    assert "singular" in str(exc_info.value)
+    # member 6 is singular: the family stops before step 7
+    m = np.stack([np.eye(3)] * 6 + [np.zeros((3, 3))] + [np.eye(3)] * 2)
+    steps, error = time_local_family(AffineBlochMap(m=m, c=np.zeros((9, 3))))
+    assert len(steps.m) == 6
+    assert error.step == 7 and error.det == 0.0
+    assert "singular Bloch map at step 7" in str(error)
 
 
 def test_invert_condition_threshold():
     bm = AffineBlochMap(m=np.diag([1.0, 1.0, 1e-6]), c=np.zeros(3))
-    invert_affine(bm)   # fine with the default threshold
-    with pytest.raises(SingularMapError):
-        invert_affine(bm, cond_threshold=1e3)
+    assert inverse(bm)[1] is None   # condition estimate about 1.4e6
+    # det 1e6 passes the determinant floor; condition estimate about 1.4e9
+    out, error = inverse(AffineBlochMap(m=np.diag([1e5, 1e5, 1e-4]), c=np.zeros(3)))
+    assert out is None and error.step == 1
+    assert error.det == pytest.approx(1e6) and 1e9 < error.cond < 2e9
 
 
 # --------------------------------------------------------------- time-local
@@ -148,31 +165,31 @@ def test_invert_condition_threshold():
 def test_time_local_of_equal_maps_is_identity():
     rng = np.random.default_rng(19)
     bm = random_map(rng)
-    out = time_local_map(bm, bm)
-    assert np.allclose(out.m, np.eye(3), atol=1e-12)
-    assert np.allclose(out.c, 0.0, atol=1e-12)
+    steps, error = time_local_family(AffineBlochMap(m=np.stack([bm.m] * 2),
+                                                    c=np.stack([bm.c] * 2)))
+    assert error is None
+    assert np.allclose(steps.m, np.eye(3), atol=1e-12)
+    assert np.allclose(steps.c, 0.0, atol=1e-12)
 
 
 def test_time_local_composition_reproduces_cumulative():
-    config = RunConfig(n_max=30)
-    maps = reconstruct_map_family(run_probe_bundle(config))
+    family = analyze(RunConfig(n_max=30)).family
+    steps, error = time_local_family(family)
+    assert error is None and len(steps.m) == 30
     m_acc, c_acc = np.eye(3), np.zeros(3)
-    for n in range(1, 31):
-        tl = time_local_map(maps[n], maps[n - 1], step=n)
-        m_acc = tl.m @ m_acc
-        c_acc = tl.m @ c_acc + tl.c
-    assert np.max(np.abs(m_acc - maps[30].m)) <= 1e-9
-    assert np.max(np.abs(c_acc - maps[30].c)) <= 1e-9
+    for m, c in zip(steps.m, steps.c):
+        m_acc = m @ m_acc
+        c_acc = m @ c_acc + c
+    assert np.max(np.abs(m_acc - family.m[30])) <= 1e-9
+    assert np.max(np.abs(c_acc - family.c[30])) <= 1e-9
 
 
 def test_time_local_markovian_limit_is_step_independent():
     # memory fully refreshed each collision: the step map stops changing
     config = RunConfig(couplings=CouplingParams(tau2=SWAP_TAU), n_max=12)
-    maps = reconstruct_map_family(run_probe_bundle(config))
-    steps = [time_local_map(maps[n], maps[n - 1]) for n in range(2, 13)]
-    for tl in steps[1:]:
-        assert np.max(np.abs(tl.m - steps[0].m)) <= 1e-10
-        assert np.max(np.abs(tl.c - steps[0].c)) <= 1e-10
+    steps, _ = time_local_family(analyze(config).family)
+    assert np.max(np.abs(steps.m[2:] - steps.m[1])) <= 1e-10
+    assert np.max(np.abs(steps.c[2:] - steps.c[1])) <= 1e-10
 
 
 # ------------------------------------------------------------ superoperator
@@ -194,11 +211,10 @@ def test_superoperator_thermal_reset_channel():
     bm = AffineBlochMap(m=np.zeros((3, 3)), c=np.array([0, 0, -np.tanh(0.5)]))
     sop = affine_to_superoperator(bm)
     p0 = 1.0 / (1.0 + np.e)
-    entries = extract_phase_covariant(sop)
-    assert entries.a == pytest.approx(p0, abs=1e-12)
-    assert entries.b == pytest.approx(p0, abs=1e-12)
-    assert abs(entries.c) <= 1e-12 and abs(entries.d) <= 1e-12
-    assert entries.off_pattern_residual <= 1e-12
+    assert sop[0, 0] == pytest.approx(p0, abs=1e-12)    # a
+    assert sop[0, 3] == pytest.approx(p0, abs=1e-12)    # b
+    assert abs(sop[1, 1]) <= 1e-12 and abs(sop[1, 2]) <= 1e-12   # c, d
+    assert _off_pattern_residual(sop) <= 1e-12
 
 
 def test_superoperator_action_matches_affine_action():
@@ -207,7 +223,7 @@ def test_superoperator_action_matches_affine_action():
         bm = random_map(rng)
         rho = random_density(rng)
         via_sop = apply_superoperator(affine_to_superoperator(bm), rho)
-        via_bloch = density_from_bloch(bm.apply(bloch_vector(rho)))
+        via_bloch = density_from_bloch(bm.m @ bloch_vector(rho) + bm.c)
         assert np.max(np.abs(via_sop - via_bloch)) <= 1e-12
 
 
@@ -233,28 +249,23 @@ def test_reconstructed_maps_keep_bloch_ball_inside():
     # vertex sample of the Bloch ball stays inside for physical maps
     vertices = np.array([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0],
                          [0, 0, 1], [0, 0, -1]], dtype=float)
-    maps = reconstruct_map_family(run_probe_bundle(RunConfig(n_max=80)))
-    worst = max(np.linalg.norm(bm.apply(v))
-                for bm in maps for v in vertices)
-    assert worst <= 1.0 + 1e-8
+    family = analyze(RunConfig(n_max=80)).family
+    images = family.m @ vertices.T + family.c[:, :, np.newaxis]
+    assert np.linalg.norm(images, axis=1).max() <= 1.0 + 1e-8
 
 
 # ------------------------------------------------------- pattern extraction
 
 def test_extract_identity_channel():
-    entries = extract_phase_covariant(np.eye(4, dtype=complex))
-    assert entries.a == 1.0 and entries.b == 0.0
-    assert entries.c == 1.0 + 0j and entries.d == 0j
-    assert entries.off_pattern_residual == 0.0
-    assert entries.within_tol
+    assert _off_pattern_residual(np.eye(4, dtype=complex)) == 0.0
 
 
 def test_extract_flags_off_pattern_weight():
     sop = np.eye(4, dtype=complex)
     sop[1, 0] = 1e-3
-    entries = extract_phase_covariant(sop, tol=1e-10)
-    assert entries.off_pattern_residual == pytest.approx(1e-3)
-    assert not entries.within_tol
+    assert _off_pattern_residual(sop) == pytest.approx(1e-3)
+    sop[1, 0], sop[0, 3] = 0.0, 0.5 + 2e-3j   # imaginary part of b
+    assert _off_pattern_residual(sop) == pytest.approx(2e-3)
 
 
 # ------------------------------------------------------------------- Choi
@@ -270,9 +281,8 @@ def test_choi_matches_explicit_pattern():
     bm = AffineBlochMap(m=np.diag([0.0, 0.0, 1.1]),
                         c=np.array([0.0, 0.0, 0.1]))
     sop = affine_to_superoperator(bm)
-    entries = extract_phase_covariant(sop)
-    assert entries.a == pytest.approx(1.1, abs=1e-12)
-    assert entries.b == pytest.approx(0.0, abs=1e-12)
+    assert sop[0, 0] == pytest.approx(1.1, abs=1e-12)   # a
+    assert sop[0, 3] == pytest.approx(0.0, abs=1e-12)   # b
     assert np.allclose(choi(sop), np.diag([1.1, -0.1, 0.0, 1.0]), atol=1e-12)
 
 
