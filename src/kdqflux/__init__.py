@@ -10,7 +10,7 @@ increments of a correlated reference (LFS), and the average energy change.
 """
 
 from .analysis import RunResult, RunSummary, analyze
-from .engine import RunConfig, Tolerances, Trajectory, evolve_grid
+from .engine import RunConfig, evolve_grid
 from .model import (CouplingParams, SpinParams, ThermalSpec,
                     anisotropic_sm_interaction, collision_unitaries,
                     heisenberg_interaction, local_hamiltonian,

@@ -23,11 +23,14 @@ from functools import cached_property
 import numpy as np
 
 from . import engine, tomography, witnesses
-from .engine import RunConfig, Trajectory
+from .engine import RunConfig
 from .linalg import HERMITICITY_TOL, _require_hermitian, block_eigvalsh
 from .model import SIGMA_X, SIGMA_Y, SIGMA_Z, probe_states
 from .tomography import AffineBlochMap, SingularMapError, _off_pattern_residual
 from .witnesses import WitnessRecord
+
+# N_q, g_n and delta_i count as positive above this threshold.
+TOL_POS = 1e-10
 
 
 @dataclass(frozen=True)
@@ -52,6 +55,8 @@ class RunSummary:
 class RunResult:
     """Everything the drivers and tests need from one analyzed run.
 
+    ``states`` holds the (n + 1, 5, 2, 2) system states: the physical one,
+    then the probes P0, P1, P+ and PR in ``model.probe_states`` order.
     ``columns`` maps each WitnessRecord field to its (n,) array over
     collisions 1..n; ``family`` stacks the cumulative maps, n = 0..n_max.
     ``records`` holds the same values as WitnessRecord objects, built on
@@ -59,8 +64,7 @@ class RunResult:
     """
 
     config: RunConfig
-    physical: Trajectory
-    probes: tuple[Trajectory, Trajectory, Trajectory, Trajectory]
+    states: np.ndarray
     family: AffineBlochMap
     columns: dict[str, np.ndarray]
     summary: RunSummary
@@ -78,11 +82,12 @@ class RunResult:
 _FIELDS = [f.name for f in fields(WitnessRecord)]
 
 
-def probe_bloch_history(probes) -> np.ndarray:
-    """Bloch vectors of the four probe trajectories, shape (n+1, 4, 3)."""
-    stacks = np.stack([t.system_states for t in probes], axis=1)
+def probe_bloch_history(probes: np.ndarray) -> np.ndarray:
+    """Bloch vectors of the (n+1, 4, 2, 2) probe states, shape (n+1, 4, 3)."""
     pauli = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
-    return np.einsum("pij,nkji->nkp", pauli, stacks).real
+    # einsum iterates, and so rounds, in the operand's memory order; a
+    # contiguous copy makes the result independent of how states were sliced
+    return np.einsum("pij,nkji->nkp", pauli, np.ascontiguousarray(probes)).real
 
 
 def _witness_columns(sops: np.ndarray, rho_pre: np.ndarray,
@@ -120,12 +125,13 @@ def _witness_columns(sops: np.ndarray, rho_pre: np.ndarray,
             w.min(axis=1)]                                    # min Choi eigenvalue
 
 
-def evolve_runs(configs) -> list[list[Trajectory] | engine.InvariantDriftError]:
+def evolve_runs(configs) -> tuple[np.ndarray,
+                                  list[engine.InvariantDriftError | None]]:
     """Evolve the physical state and the four probes of every configuration.
 
     The configurations must share ``n_max`` and the initial system state;
-    they are stepped together by ``engine.evolve_grid``, and each entry of
-    the result is what ``analyze_evolved`` takes for that point.
+    they are stepped together by ``engine.evolve_grid``. Point p's states
+    ``[:, p]`` and error are what ``analyze_evolved`` takes for it.
     """
     configs = list(configs)
     initial = configs[0].initial_system
@@ -135,25 +141,23 @@ def evolve_runs(configs) -> list[list[Trajectory] | engine.InvariantDriftError]:
         configs, np.concatenate([initial[np.newaxis], np.stack(probe_states())]))
 
 
-def analyze_evolved(config: RunConfig,
-                    evolved: list[Trajectory] | engine.InvariantDriftError,
+def analyze_evolved(config: RunConfig, states: np.ndarray,
+                    error: engine.InvariantDriftError | None = None,
                     t_start: float | None = None) -> RunResult:
     """Analyze all collisions of one evolved configuration in one array pass.
 
-    ``evolved`` is the entry of ``evolve_runs`` for ``config``: the physical
-    trajectory followed by the four probe trajectories, or the
-    InvariantDriftError that stopped them. ``t_start``, a
+    ``states`` and ``error`` are what ``evolve_runs`` gives for ``config``:
+    the (n_max + 1, 5, 2, 2) states of the physical state and the four
+    probes, and the InvariantDriftError that stopped them, if any; the
+    states from its ``step`` on are dropped. ``t_start``, a
     ``time.perf_counter`` reading, dates ``RunResult.elapsed`` (default: this
     call). Raises like ``analyze``.
     """
     if t_start is None:
         t_start = time.perf_counter()
-    error: SingularMapError | engine.InvariantDriftError | None = None
-    if isinstance(evolved, engine.InvariantDriftError):
-        evolved, error = evolved.trajectories, evolved
-    physical, probes = evolved[0], tuple(evolved[1:])
-
-    family = tomography.reconstruct_affine(probe_bloch_history(probes))
+    if error is not None:
+        states = states[:error.step]
+    family = tomography.reconstruct_affine(probe_bloch_history(states[:, 1:]))
     delta_i = witnesses.lfs_series(
         tomography.choi(tomography.affine_to_superoperator(family)))
     steps, singular = tomography.time_local_family(family)
@@ -162,12 +166,10 @@ def analyze_evolved(config: RunConfig,
     sops = tomography.affine_to_superoperator(steps)
     n = len(sops)
     columns = dict(zip(_FIELDS, [np.arange(1, n + 1), *_witness_columns(
-        sops, physical.system_states[:n], delta_i[:n], config.spins.omega_s)]))
+        sops, states[:n, 0], delta_i[:n], config.spins.omega_s)]))
     result = RunResult(
-        config=config, physical=physical, probes=probes, family=family,
-        columns=columns,
-        summary=summarize(columns, n_max=config.n_max,
-                          tol_pos=config.tolerances.tol_pos),
+        config=config, states=states, family=family, columns=columns,
+        summary=summarize(columns, n_max=config.n_max),
         elapsed=time.perf_counter() - t_start)
     if error is not None:
         error.partial_result = result
@@ -185,11 +187,11 @@ def analyze(config: RunConfig) -> RunResult:
     when both occur, the earlier step is reported.
     """
     t_start = time.perf_counter()
-    (evolved,) = evolve_runs([config])
-    return analyze_evolved(config, evolved, t_start)
+    states, (error,) = evolve_runs([config])
+    return analyze_evolved(config, states[:, 0], error, t_start)
 
 
-def summarize(columns, n_max: int, tol_pos: float = 1e-10) -> RunSummary:
+def summarize(columns, n_max: int, tol_pos: float = TOL_POS) -> RunSummary:
     """Reduce a witness table to run-level measures and indices.
 
     ``columns`` is a table like ``RunResult.columns``; an empty one means no

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import RunResult, analyze, analyze_evolved, evolve_runs
-from .engine import InvariantDriftError, RunConfig, Tolerances
+from .engine import InvariantDriftError, RunConfig
 from .model import (ANISOTROPIC, ISOTROPIC, CouplingParams, SpinParams,
                     ThermalSpec, collision_unitaries)
 from .tomography import SingularMapError
@@ -120,7 +120,10 @@ def _parse_value(key: str, raw: str):
 
 def _read_config_file(path) -> dict:
     values = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidValueError("config", f"cannot read {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -196,7 +199,7 @@ def load_config(path=None, cli_overrides: dict | None = None) -> ExperimentSpec:
             aniso_strength=v["aniso_strength"])
         thermal = ThermalSpec(beta=v["beta"])
         base = RunConfig(spins=spins, couplings=couplings, thermal=thermal,
-                         n_max=v["n_max"], tolerances=Tolerances())
+                         n_max=v["n_max"])
     except ValueError as exc:
         raise InvalidValueError("config", str(exc)) from exc
 
@@ -292,9 +295,10 @@ def sweep_point_config(spec: ExperimentSpec, value: float) -> RunConfig:
 def _sweep_chunk(configs) -> list[tuple[dict | None, str | None]]:
     """Evolve a chunk of grid points together, then analyze them one by one."""
     outcomes = []
-    for config, evolved in zip(configs, evolve_runs(configs)):
+    states, errors = evolve_runs(configs)
+    for p, (config, error) in enumerate(zip(configs, errors)):
         try:
-            s = analyze_evolved(config, evolved).summary
+            s = analyze_evolved(config, states[:, p], error).summary
         except Exception as exc:  # per-point failures recorded, sweep continues
             outcomes.append((None, f"{type(exc).__name__}: {exc}"))
         else:

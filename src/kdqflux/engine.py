@@ -24,24 +24,11 @@ DRIFT_TOL = 1e-8
 
 
 class InvariantDriftError(RuntimeError):
-    """A density-matrix invariant drifted beyond tolerance at collision ``step``.
-
-    ``evolve_grid`` attaches ``trajectories``: the recorded states before
-    that collision, so a caller can still analyze the valid prefix.
-    """
+    """A density-matrix invariant drifted beyond tolerance at collision ``step``."""
 
     def __init__(self, message: str, step: int):
         self.step = step
-        self.trajectories: list[Trajectory] | None = None
         super().__init__(message)
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical thresholds shared by the engine and the analysis chain."""
-
-    drift: float = DRIFT_TOL          # density-matrix invariant violation -> abort
-    tol_pos: float = 1e-10            # threshold for declaring N_q, g_n, dI positive
 
 
 @dataclass(frozen=True)
@@ -54,7 +41,6 @@ class RunConfig:
     initial_system: np.ndarray = field(
         default_factory=lambda: 0.5 * np.eye(2, dtype=complex))
     n_max: int = 1000
-    tolerances: Tolerances = field(default_factory=Tolerances)
 
     def __post_init__(self):
         if self.n_max < 0:
@@ -65,22 +51,12 @@ class RunConfig:
         if not np.isfinite(rho).all():
             # every comparison below is False for a NaN entry
             raise ValueError("initial_system entries must be finite")
-        if (np.max(np.abs(rho - rho.conj().T)) > self.tolerances.drift
-                or abs(np.trace(rho) - 1.0) > self.tolerances.drift
+        if (np.max(np.abs(rho - rho.conj().T)) > DRIFT_TOL
+                or abs(np.trace(rho) - 1.0) > DRIFT_TOL
                 or np.linalg.eigvalsh((rho + rho.conj().T) / 2).min()
-                < -self.tolerances.drift):
+                < -DRIFT_TOL):
             raise ValueError("initial_system is not a valid density matrix")
         object.__setattr__(self, "initial_system", rho)
-
-
-@dataclass
-class Trajectory:
-    """Recorded states of one run; index n = 0 is the pre-collision state."""
-
-    system_states: np.ndarray          # (n_max + 1, 2, 2)
-
-    def __len__(self) -> int:
-        return self.system_states.shape[0]
 
 
 # The collision loop keeps its stack of G x k joint states in the layout
@@ -97,11 +73,10 @@ CHECK_BLOCK = 64
 CHOLESKY_MARGIN = 1e-14
 
 
-def _check_block(states: np.ndarray, start: int, drift_tol: np.ndarray,
+def _check_block(states: np.ndarray, start: int, drift_tol: float,
                  errors: list) -> None:
     """Invariant check of the (m, G, k, 4, 4) joint states ``start..start+m-1``.
 
-    ``drift_tol`` holds each point's tolerance once per state, shape (G * k,).
     Sets ``errors[g]`` to the error of point g's first offending collision,
     unless an earlier block already did. A state with a non-finite entry
     (from overflowing inputs) makes ``herm`` non-finite and is an offending
@@ -118,7 +93,7 @@ def _check_block(states: np.ndarray, start: int, drift_tol: np.ndarray,
         # only a failed factorization needs the eigenvalues
         with contextlib.suppress(np.linalg.LinAlgError):
             np.linalg.cholesky(
-                flat + (drift_tol - CHOLESKY_MARGIN)[:, None, None] * np.eye(4))
+                flat + (drift_tol - CHOLESKY_MARGIN) * np.eye(4))
             return
     # eigvalsh rejects non-finite matrices: those states get a zero matrix
     # and report a nan minimum eigenvalue
@@ -139,7 +114,7 @@ def _check_block(states: np.ndarray, start: int, drift_tol: np.ndarray,
 
 
 def evolve_grid(configs, initial_systems: np.ndarray
-                ) -> list[list[Trajectory] | InvariantDriftError]:
+                ) -> tuple[np.ndarray, list[InvariantDriftError | None]]:
     """Evolve the same initial states under every configuration at once.
 
     ``initial_systems`` has shape (k, 2, 2); the configurations must share
@@ -148,11 +123,11 @@ def evolve_grid(configs, initial_systems: np.ndarray
     points are stepped together as one (G, 4, k, 4) stack, with the same
     floating-point arithmetic per point as a run of that point alone.
 
-    Returns one entry per configuration: its k trajectories, or the
+    Returns the (n_max + 1, G, k, 2, 2) system states, index n = 0 being the
+    initial ones, and one entry per configuration: None, or the
     InvariantDriftError of its first collision whose joint state left the
-    density-matrix invariants, with ``step`` and the trajectories truncated
-    before that collision attached. A drifting point does not affect the
-    others.
+    density-matrix invariants (``DRIFT_TOL``). A drifting point does not
+    affect the others; its states from ``step`` on are not valid.
     """
     configs = list(configs)
     n_max = configs[0].n_max
@@ -170,7 +145,6 @@ def evolve_grid(configs, initial_systems: np.ndarray
                       for c in configs])
     rho_a = np.stack([model.thermal_state(c.thermal, c.spins.omega_a)
                       for c in configs])
-    drift_tol = np.repeat([c.tolerances.drift for c in configs], k)
 
     n1 = n_max + 1
     system = np.empty((n1, g, k, 2, 2), dtype=complex)
@@ -208,16 +182,5 @@ def evolve_grid(configs, initial_systems: np.ndarray
             states, start = block[:j + 1], n - j
             system[start:n + 1] = np.einsum(
                 "ngkaibi->ngkab", states.reshape(j + 1, g, k, 2, 2, 2, 2))
-            _check_block(states, start, drift_tol, errors)
-
-    outcomes = []
-    for p, error in enumerate(errors):
-        stop = n1 if error is None else error.step
-        trajectories = [Trajectory(system_states=system[:stop, p, i])
-                        for i in range(k)]
-        if error is None:
-            outcomes.append(trajectories)
-        else:
-            error.trajectories = trajectories
-            outcomes.append(error)
-    return outcomes
+            _check_block(states, start, DRIFT_TOL, errors)
+    return system, errors

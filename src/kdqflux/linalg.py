@@ -8,8 +8,6 @@ matrices, and 4x4 ones made of two 2x2 blocks (the Choi matrices of
 phase-covariant qubit maps), get their eigenvalues in closed form instead.
 """
 
-from typing import NamedTuple
-
 import numpy as np
 
 # Absolute, max-entry tolerance for accepting a matrix as Hermitian.
@@ -19,13 +17,6 @@ HERMITICITY_TOL = 1e-10
 # 2x2 blocks; by Weyl's bound, dropping such entries moves no eigenvalue by
 # more than twice this.
 BLOCK_TOL = 1e-15
-
-
-class HermitianEigen(NamedTuple):
-    """Spectral decomposition A = V diag(w) V^dag with w ascending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray  # columns are orthonormal eigenvectors
 
 
 def _require_hermitian(m: np.ndarray, tol: float, what: str) -> np.ndarray:
@@ -67,18 +58,11 @@ def block_eigvalsh(h: np.ndarray, det03: np.ndarray | None = None,
     return w
 
 
-def hermitian_eig(m: np.ndarray, tol: float = HERMITICITY_TOL) -> HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-    h = _require_hermitian(m, tol, "hermitian_eig")
-    w, v = np.linalg.eigh(h)
-    return HermitianEigen(eigenvalues=w, eigenvectors=v)
-
-
 def exp_hermitian_generator(h: np.ndarray, t: float,
                             tol: float = HERMITICITY_TOL) -> np.ndarray:
     """exp(-i h t) for Hermitian h, via spectral decomposition.
 
     The result is unitary to machine precision for any real ``t``.
     """
-    w, v = hermitian_eig(h, tol=tol)
+    w, v = np.linalg.eigh(_require_hermitian(h, tol, "exp_hermitian_generator"))
     return (v * np.exp(-1j * w * t)) @ v.conj().T

@@ -3,8 +3,8 @@
 The package computes every stage as one array pass over a run; these
 functions compute them one collision or one matrix at a time: the
 allocating collision loop, the adjugate time-local map, the defining
-two-point KDQ expression, and trace norm, entropy and mutual information
-from ``eigvalsh`` spectra.
+two-point KDQ expression, the checked ``eigh`` decomposition, and trace
+norm, entropy and mutual information from ``eigvalsh`` spectra.
 """
 
 from typing import Sequence
@@ -130,6 +130,11 @@ def partial_trace(m: np.ndarray, dims: Sequence[int], keep) -> np.ndarray:
         nsub -= 1
     d_keep = int(np.prod([dims[i] for i in keep])) if keep else 1
     return out.reshape(d_keep, d_keep)
+
+
+def hermitian_eig(m: np.ndarray, tol: float = HERMITICITY_TOL):
+    """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix."""
+    return np.linalg.eigh(_require_hermitian(m, tol, "hermitian_eig"))
 
 
 def trace_norm(m: np.ndarray, tol: float = HERMITICITY_TOL) -> float:

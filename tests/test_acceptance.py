@@ -16,9 +16,9 @@ from kdqflux.cli import load_config, sweep_points
 from kdqflux.engine import RunConfig, evolve_grid
 from kdqflux.model import (ANISOTROPIC, SIGMA_X, SIGMA_Y, SIGMA_Z,
                            CouplingParams, SpinParams, collision_unitaries)
-from kdqflux.linalg import hermitian_eig
 from kdqflux.tomography import affine_to_superoperator
-from oracles import kdq_general, time_local_map, trace_norm, von_neumann_entropy
+from oracles import (hermitian_eig, kdq_general, time_local_map, trace_norm,
+                     von_neumann_entropy)
 
 TOL_POS = 1e-10
 SWAP_TAU2 = np.pi / (2 * 0.2)
@@ -170,11 +170,11 @@ def test_criterion_05_tomography_oracle_equivalence(fig1):
         rho = mat @ mat.conj().T
         states.append(rho / np.trace(rho))
     states = np.asarray(states)
-    (trajectories,) = evolve_grid([fig1.config], states)
+    history, _ = evolve_grid([fig1.config], states)
     pauli = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
     worst = 0.0
-    for state, traj in zip(states, trajectories):
-        direct = np.einsum("pij,nji->np", pauli, traj.system_states).real
+    for i in range(len(states)):
+        direct = np.einsum("pij,nji->np", pauli, history[:, 0, i]).real
         r0 = direct[0]
         mapped = fig1.family.m @ r0 + fig1.family.c
         worst = max(worst, float(np.abs(mapped - direct).max()))
@@ -429,7 +429,7 @@ def _kdq_invariant_deviations(result) -> tuple[float, float, float]:
     for rec in result.records:
         n = rec.n
         sop = affine_to_superoperator(time_local_map(result.family, n))
-        rho_pre = result.physical.system_states[n - 1]
+        rho_pre = result.states[n - 1, 0]
         q = kdq_general(sop, rho_pre)
         # the closed form from the record's population entries
         closed = np.array([[rec.a * rec.p0, (1.0 - rec.a) * rec.p0],

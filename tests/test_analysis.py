@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kdqflux.analysis import RunSummary, analyze, summarize
+from kdqflux.analysis import TOL_POS, RunSummary, analyze, summarize
 from kdqflux.engine import RunConfig
 from kdqflux.model import ANISOTROPIC, CouplingParams, SpinParams
 from kdqflux.tomography import SingularMapError, affine_to_superoperator, choi
@@ -55,7 +55,7 @@ def test_kdq_routes_agree_along_run(fig1_short):
     for n in (1, 25, 40, 77, 120):
         rec = fig1_short.records[n - 1]
         sop = affine_to_superoperator(time_local_map(fig1_short.family, n))
-        rho_pre = fig1_short.physical.system_states[n - 1]
+        rho_pre = fig1_short.states[n - 1, 0]
         q = kdq_general(sop, rho_pre)
         closed = [[rec.a * rec.p0, (1 - rec.a) * rec.p0],
                   [rec.b * rec.p1, (1 - rec.b) * rec.p1]]
@@ -113,7 +113,7 @@ def test_summary_equals_python_reductions_of_records_bit_for_bit():
         couplings=CouplingParams(sm_interaction_kind=ANISOTROPIC, gamma=-0.4),
         n_max=120)
     result = analyze(config)
-    records, tol = result.records, config.tolerances.tol_pos
+    records, tol = result.records, TOL_POS
     assert len(records) == 120
     nq_steps = [r.n for r in records if r.n_q > tol]
     g_steps = [r.n for r in records if r.g_n > tol]

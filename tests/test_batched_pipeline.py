@@ -7,17 +7,15 @@ the run's own cumulative maps and physical states, and must agree with the
 batched values.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kdqflux import linalg
+from kdqflux import engine, linalg
 from kdqflux.analysis import (_witness_columns, analyze, analyze_evolved,
                               evolve_runs)
-from kdqflux.engine import InvariantDriftError, RunConfig, Tolerances
+from kdqflux.engine import InvariantDriftError, RunConfig
 from kdqflux.model import (ANISOTROPIC, ISOTROPIC, CouplingParams, SpinParams,
                            ThermalSpec, maximally_entangled_state)
 from kdqflux.tomography import (SingularMapError, _off_pattern_residual,
@@ -47,7 +45,7 @@ def _assert_matches_oracle(result) -> None:
         sop = affine_to_superoperator(oracles.time_local_map(result.family, n))
         a, b, c, d = sop[0, 0].real, sop[0, 3].real, sop[1, 1], sop[1, 2]
         j_mat = choi(sop)
-        rho_pre = result.physical.system_states[n - 1]
+        rho_pre = result.states[n - 1, 0]
         p0, p1 = rho_pre[0, 0].real, rho_pre[1, 1].real
         q = oracles.kdq_general(sop, rho_pre)
         # the KDQ marginal over final outcomes is the pre-collision population
@@ -171,7 +169,7 @@ def test_off_pattern_members_fall_back_to_eigvalsh(monkeypatch):
     result = analyze(RunConfig(n_max=120))
     # step maps with off-pattern entries far above linalg.BLOCK_TOL
     j = _inject_cross_block(_step_chois(result), 1e-3, rng)
-    sops, rho_pre = _from_choi(j), result.physical.system_states[:120]
+    sops, rho_pre = _from_choi(j), result.states[:120, 0]
 
     def spectra():
         cols = _witness_columns(sops, rho_pre, result.columns["delta_i"], 1.0)
@@ -257,8 +255,10 @@ def test_singular_swap_truncates_like_the_scalar_route():
         oracles.time_local_map(partial.family, 2)
 
 
-def test_invariant_drift_truncates_with_partial_result():
-    config = RunConfig(n_max=200, tolerances=Tolerances(drift=1e-14))
+def test_invariant_drift_truncates_with_partial_result(monkeypatch):
+    config = RunConfig(n_max=200)
+    full = analyze(config)
+    monkeypatch.setattr(engine, "DRIFT_TOL", 1e-14)
     with pytest.raises(RuntimeError) as exc_info:
         analyze(config)
     err = exc_info.value
@@ -266,11 +266,11 @@ def test_invariant_drift_truncates_with_partial_result():
     assert 1 <= err.step < config.n_max
     partial = err.partial_result
     assert len(partial.records) == err.step - 1
-    assert len(partial.family.m) == err.step
+    assert len(partial.family.m) == len(partial.states) == err.step
     assert partial.summary.n_max == config.n_max
-    # the rows before the drift are those of an unconstrained run
-    full = analyze(dataclasses.replace(config, tolerances=Tolerances()))
+    # the rows before the drift are those of the run at the default bound
     assert partial.records == full.records[:err.step - 1]
+    assert np.array_equal(partial.states, full.states[:err.step])
 
 
 def test_zero_duration_collisions_give_zero_rhp_measure():
@@ -284,9 +284,10 @@ def test_zero_duration_collisions_give_zero_rhp_measure():
 def _analyze_grid(configs) -> list:
     """Each point of a stacked grid: its RunResult, or the error it raised."""
     outcomes = []
-    for config, evolved in zip(configs, evolve_runs(configs)):
+    states, errors = evolve_runs(configs)
+    for p, (config, error) in enumerate(zip(configs, errors)):
         try:
-            outcomes.append(analyze_evolved(config, evolved))
+            outcomes.append(analyze_evolved(config, states[:, p], error))
         except (SingularMapError, InvariantDriftError) as exc:
             outcomes.append(exc)
     return outcomes
@@ -331,17 +332,20 @@ def test_analyzed_grid_points_equal_single_runs():
         assert len(outcomes[index].records) == GRID_N_MAX
 
 
-def test_drifting_grid_point_fails_at_its_own_step():
+def test_drifting_grid_point_fails_at_its_own_step(monkeypatch):
     configs = [RunConfig(n_max=200),
-               RunConfig(n_max=200, tolerances=Tolerances(drift=1e-14)),
-               RunConfig(spins=SpinParams(omega_s=0.9), n_max=200)]
+               RunConfig(spins=SpinParams(omega_s=0.9), n_max=200),
+               RunConfig(couplings=CouplingParams(g_sm=0.3, tau2=0.1),
+                         thermal=ThermalSpec(beta=0.5), n_max=200)]
+    full = _analyze_grid(configs)   # default bound
+    monkeypatch.setattr(engine, "DRIFT_TOL", 1e-14)
     outcomes = _analyze_grid(configs)
-    drift = outcomes[1]
-    assert isinstance(drift, InvariantDriftError)
-    assert 1 <= drift.step < 200
-    for config, got in zip(configs, outcomes):
-        _assert_same_outcome(got, _analyze_alone(config))
-    assert drift.partial_result.records == outcomes[0].records[:drift.step - 1]
+    assert len({drift.step for drift in outcomes}) == len(configs)
+    for config, drift, want in zip(configs, outcomes, full):
+        assert isinstance(drift, InvariantDriftError)
+        assert 1 <= drift.step < 200
+        _assert_same_outcome(drift, _analyze_alone(config))
+        assert drift.partial_result.records == want.records[:drift.step - 1]
 
 
 def test_grid_points_must_share_the_initial_state():

@@ -4,13 +4,12 @@ import json
 import numpy as np
 import pytest
 
-from kdqflux import cli
+from kdqflux import cli, engine
 from kdqflux.analysis import analyze
 from kdqflux.cli import (COLLISION_HEADER, SWEEP_HEADER, ExperimentSpec,
                          InvalidValueError, MissingKeyError, load_config,
                          main, parse_overrides, run_single, run_sweep,
                          sweep_point_config)
-from kdqflux.engine import Tolerances
 from kdqflux.model import ANISOTROPIC
 
 SWAP_TAU = np.pi / (2 * 0.2)
@@ -110,6 +109,8 @@ def test_run_single_writes_rows_and_summary(tmp_path):
     assert summary["schema"] == 1
     assert summary["params"]["n_max"] == 5
     assert summary["error"] is None
+    assert summary["tol_pos"] == 1e-10
+    assert '"tol_pos": 1e-10\n' in (out / "summary.json").read_text()
 
 
 def test_run_single_row_count_one(tmp_path):
@@ -163,6 +164,21 @@ def test_config_error_exit_code():
     assert main(["run", "--set", "kind=detuning_sweep", "--quiet"]) == 1
     assert main(["sweep", "--quiet"]) == 1     # default kind is single_run
     assert main(["run", "--workers", "0", "--quiet"]) == 1
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+def test_unreadable_config_file_is_a_configuration_error(tmp_path, capsys, kind):
+    path = tmp_path / "run.cfg"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not_utf8":
+        path.write_bytes(b"n_max = 5  # \xff\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: invalid value for key 'config'")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_env_var_sets_output_dir(tmp_path, monkeypatch):
@@ -318,11 +334,10 @@ def test_detuning_sweep_rejects_grid_reaching_zero_frequency(tmp_path):
     assert spec.base.spins.omega_m + spec.grid.min() > 0
 
 
-def test_run_drift_flushes_partial_output_and_exits_2(tmp_path):
+def test_run_drift_flushes_partial_output_and_exits_2(tmp_path, monkeypatch):
+    monkeypatch.setattr(engine, "DRIFT_TOL", 1e-14)
     spec = load_config(None, {"n_max": 200})
-    spec = dataclasses.replace(
-        spec, output_dir=tmp_path / "drift",
-        base=dataclasses.replace(spec.base, tolerances=Tolerances(drift=1e-14)))
+    spec = dataclasses.replace(spec, output_dir=tmp_path / "drift")
     assert run_single(spec, quiet=True) == 2
     summary = json.loads((spec.output_dir / "summary.json").read_text())
     step = summary["error"]["step"]

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from kdqflux import engine
+from kdqflux.analysis import TOL_POS
 from kdqflux.engine import (CHECK_BLOCK, DRIFT_TOL, InvariantDriftError,
-                            RunConfig, Tolerances, _check_block, evolve_grid)
+                            RunConfig, _check_block, evolve_grid)
 from kdqflux.model import (ANISOTROPIC, CouplingParams, SpinParams,
                            ThermalSpec, collision_unitaries, local_hamiltonian,
                            probe_states, thermal_state)
@@ -21,12 +23,12 @@ def fig1_config(**kwargs) -> RunConfig:
     return RunConfig(**kwargs)
 
 
-def evolve(config: RunConfig, states: np.ndarray):
-    """The trajectories of ``states`` under one configuration."""
-    (outcome,) = evolve_grid([config], states)
-    if isinstance(outcome, InvariantDriftError):
-        raise outcome
-    return outcome
+def evolve(config: RunConfig, states: np.ndarray) -> np.ndarray:
+    """The (k, n_max + 1, 2, 2) histories of ``states`` under one configuration."""
+    history, (error,) = evolve_grid([config], states)
+    if error is not None:
+        raise error
+    return history[:, 0].swapaxes(0, 1)
 
 
 def run_trajectory(config: RunConfig):
@@ -43,7 +45,7 @@ def test_collision_step_identity_unitaries():
     rho /= np.trace(rho)
     config = fig1_config(couplings=CouplingParams(tau1=0.0, tau2=0.0), n_max=5)
     (traj,) = evolve(config, rho[np.newaxis])
-    assert np.allclose(traj.system_states, rho, atol=1e-13)
+    assert np.allclose(traj, rho, atol=1e-13)
 
 
 def test_collision_step_preserves_energy_when_resonant():
@@ -87,12 +89,12 @@ def test_total_energy_conserved_through_both_unitaries_resonant():
 def test_run_trajectory_zero_collisions():
     traj = run_trajectory(fig1_config(n_max=0))
     assert len(traj) == 1
-    assert np.allclose(traj.system_states[0], I2 / 2, atol=1e-14)
+    assert np.allclose(traj[0], I2 / 2, atol=1e-14)
 
 
 def test_run_trajectory_unit_traces():
     traj = run_trajectory(fig1_config(n_max=50))
-    traces = np.trace(traj.system_states, axis1=1, axis2=2)
+    traces = np.trace(traj, axis1=1, axis2=2)
     assert np.max(np.abs(traces - 1.0)) <= 1e-12
 
 
@@ -100,7 +102,7 @@ def test_run_trajectory_populations_drift_to_thermal_before_window():
     # cooling from I/2: the ground population grows monotonically until the
     # anomalous window opens at collision ~40
     traj = run_trajectory(fig1_config(n_max=45))
-    p1 = traj.system_states[:, 1, 1].real
+    p1 = traj[:, 1, 1].real
     assert np.all(np.diff(p1[:40]) > 0)
     assert p1[39] < np.e / (1 + np.e)
 
@@ -108,7 +110,7 @@ def test_run_trajectory_populations_drift_to_thermal_before_window():
 def test_run_trajectory_deterministic():
     a = run_trajectory(fig1_config(n_max=40))
     b = run_trajectory(fig1_config(n_max=40))
-    assert np.array_equal(a.system_states, b.system_states)
+    assert np.array_equal(a, b)
 
 
 def test_evolve_batch_matches_sequential_steps():
@@ -117,7 +119,7 @@ def test_evolve_batch_matches_sequential_steps():
     joint = joint_history([config], config.initial_system[np.newaxis], 25)
     for n in range(1, 26):
         rho = partial_trace(joint[n, 0, 0], [2, 2], keep=[0])
-        assert np.max(np.abs(rho - traj.system_states[n])) <= 1e-13
+        assert np.max(np.abs(rho - traj[n])) <= 1e-13
 
 
 # ------------------------------------------------------------ grid stacks
@@ -142,14 +144,11 @@ GRID = [
 
 def test_evolve_grid_equals_single_point_evolution_exactly():
     states = np.concatenate([I2[np.newaxis] / 2, np.stack(probe_states())])
-    outcomes = evolve_grid(GRID, states)
-    assert len(outcomes) == len(GRID)
-    for config, trajectories in zip(GRID, outcomes):
-        single = evolve(config, states)
-        assert len(trajectories) == len(single) == len(states)
-        for got, want in zip(trajectories, single):
-            assert len(got) == GRID_N_MAX + 1
-            assert np.array_equal(got.system_states, want.system_states)
+    history, errors = evolve_grid(GRID, states)
+    assert history.shape == (GRID_N_MAX + 1, len(GRID), len(states), 2, 2)
+    assert errors == [None] * len(GRID)
+    for p, config in enumerate(GRID):
+        assert np.array_equal(history[:, p].swapaxes(0, 1), evolve(config, states))
 
 
 def test_evolve_grid_matches_allocating_reference_loop_bit_for_bit():
@@ -158,32 +157,27 @@ def test_evolve_grid_matches_allocating_reference_loop_bit_for_bit():
     # the memory trace, as the loop takes it from its recorded joint states
     want = np.einsum("ngkaibi->ngkab",
                      joint.reshape(joint.shape[:3] + (2, 2, 2, 2)))
-    outcomes = evolve_grid(GRID, states)
-    for p, trajectories in enumerate(outcomes):
-        for i, traj in enumerate(trajectories):
-            got, ref = traj.system_states, want[:, p, i]
-            assert np.array_equal(got, ref)
-            for part in (np.real, np.imag):
-                assert np.array_equal(np.signbit(part(got)), np.signbit(part(ref)))
+    got, _ = evolve_grid(GRID, states)
+    assert np.array_equal(got, want)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
 
 
-def test_evolve_grid_drifting_point_fails_alone():
+def test_evolve_grid_drifting_point_fails_alone(monkeypatch):
+    # under a 1e-14 bound every grid point drifts, each at its own step
     states = np.stack(probe_states())
-    tight = RunConfig(n_max=GRID_N_MAX, tolerances=Tolerances(drift=1e-14))
-    outcomes = evolve_grid([GRID[1], tight, GRID[3]], states)
-    error = outcomes[1]
-    assert isinstance(error, InvariantDriftError)
-    with pytest.raises(InvariantDriftError) as exc_info:
-        evolve(tight, states)
-    assert error.step == exc_info.value.step
-    assert str(error) == str(exc_info.value)
-    assert [len(t) for t in error.trajectories] == [error.step] * len(states)
-    full = evolve(GRID[0], states)   # same dynamics, default tolerance
-    for got, want in zip(error.trajectories, full):
-        assert np.array_equal(got.system_states, want.system_states[:error.step])
-    for config, index in ((GRID[1], 0), (GRID[3], 2)):
-        for got, want in zip(outcomes[index], evolve(config, states)):
-            assert np.array_equal(got.system_states, want.system_states)
+    full, _ = evolve_grid(GRID, states)   # default bound
+    monkeypatch.setattr(engine, "DRIFT_TOL", 1e-14)
+    history, errors = evolve_grid(GRID, states)
+    assert len({error.step for error in errors}) == len(GRID)
+    for p, (config, error) in enumerate(zip(GRID, errors)):
+        assert isinstance(error, InvariantDriftError)
+        with pytest.raises(InvariantDriftError) as exc_info:
+            evolve(config, states)
+        assert error.step == exc_info.value.step
+        assert str(error) == str(exc_info.value)
+        assert 0 < error.step <= GRID_N_MAX
+        assert np.array_equal(history[:error.step, p], full[:error.step, p])
 
 
 def test_evolve_grid_non_finite_point_fails_alone():
@@ -192,12 +186,10 @@ def test_evolve_grid_non_finite_point_fails_alone():
     states = np.stack(probe_states())
     overflow = RunConfig(spins=SpinParams(omega_m=1e300), n_max=GRID_N_MAX)
     with np.errstate(over="ignore", invalid="ignore"):
-        outcomes = evolve_grid([GRID[1], overflow], states)
-    error = outcomes[1]
-    assert isinstance(error, InvariantDriftError)
+        history, (ok, error) = evolve_grid([GRID[1], overflow], states)
+    assert ok is None and isinstance(error, InvariantDriftError)
     assert error.step == 0 and "nan" in str(error)
-    for got, want in zip(outcomes[0], evolve(GRID[1], states)):
-        assert np.array_equal(got.system_states, want.system_states)
+    assert np.array_equal(history[:, 0].swapaxes(0, 1), evolve(GRID[1], states))
 
 
 def test_evolve_grid_requires_a_shared_horizon():
@@ -219,7 +211,7 @@ def _check_alone(state, tol=DRIFT_TOL):
     """``_check_block`` on one state, as one collision of one point."""
     errors = [None]
     _check_block(state[np.newaxis, np.newaxis, np.newaxis], 5,
-                 np.array([tol]), errors)
+                 tol, errors)
     return errors[0]
 
 
@@ -258,7 +250,7 @@ def test_drift_check_state_failing_cholesky_but_not_eigvalsh_passes():
     block = np.broadcast_to(clean, (4, 3, 2, 4, 4)).copy()
     block[2, 1, 0] = state
     errors = [None] * 3
-    _check_block(block, 0, np.full(6, tol), errors)
+    _check_block(block, 0, tol, errors)
     assert errors == [None] * 3
 
 
@@ -280,7 +272,7 @@ def test_drift_check_reports_the_first_bad_collision(defect, message):
         bad[0, 1] = 2e-8j       # eigvalsh reads the lower triangle only
     block[4, 1, 2] = block[5, 1, 0] = bad
     errors = [None, None]
-    _check_block(block, 128, np.full(6, DRIFT_TOL), errors)
+    _check_block(block, 128, DRIFT_TOL, errors)
     assert errors[0] is None
     assert errors[1].step == 132
     assert str(errors[1]) == (
@@ -291,7 +283,7 @@ def test_drift_check_reports_the_first_bad_collision(defect, message):
 
 def test_probe_bundle_states_stay_valid():
     for traj in evolve(fig1_config(n_max=30), np.stack(probe_states())):
-        for rho in traj.system_states:
+        for rho in traj:
             assert abs(np.trace(rho) - 1.0) <= 1e-12
             assert np.min(np.linalg.eigvalsh(rho)) >= -1e-12
 
@@ -299,7 +291,7 @@ def test_probe_bundle_states_stay_valid():
 def test_probe_bundle_diagonal_probes_stay_diagonal():
     t0, t1, _, _ = evolve(fig1_config(n_max=60), np.stack(probe_states()))
     for traj in (t0, t1):
-        off = np.abs(traj.system_states[:, 0, 1])
+        off = np.abs(traj[:, 0, 1])
         assert off.max() <= 1e-12
 
 
@@ -309,13 +301,13 @@ def test_probe_bundle_full_swap_maps_probes_to_thermal():
         couplings=CouplingParams(tau1=SWAP_TAU1), n_max=1)
     rho_m = thermal_state(config.thermal, 1.0)
     for traj in evolve(config, np.stack(probe_states())):
-        assert np.allclose(traj.system_states[1], rho_m, atol=1e-12)
+        assert np.allclose(traj[1], rho_m, atol=1e-12)
 
 
 def test_probe_bundle_initial_states_are_probes():
     bundle = evolve(fig1_config(n_max=0), np.stack(probe_states()))
     for traj, probe in zip(bundle, probe_states()):
-        assert np.allclose(traj.system_states[0], probe, atol=1e-14)
+        assert np.allclose(traj[0], probe, atol=1e-14)
 
 
 # ------------------------------------------------------------- validation
@@ -331,9 +323,8 @@ def test_run_config_rejects_bad_initial_state():
         RunConfig(initial_system=np.array([[np.nan, 0], [0, 1.0]]))
 
 
-def test_tolerances_defaults():
-    tol = Tolerances()
-    assert tol.drift == DRIFT_TOL == 1e-8
-    assert tol.tol_pos == 1e-10
+def test_tolerance_constants():
+    assert DRIFT_TOL == 1e-8
+    assert TOL_POS == 1e-10
     assert COND_THRESHOLD == 1e8
     assert SINGULAR_DET == 1e-12

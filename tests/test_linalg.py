@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from kdqflux.linalg import (HermitianEigen, exp_hermitian_generator,
-                            hermitian_eig)
+from kdqflux.linalg import exp_hermitian_generator
 from kdqflux.model import SIGMA_X, SIGMA_Z, heisenberg_interaction
-from oracles import partial_trace, trace_norm, von_neumann_entropy
+from oracles import (hermitian_eig, partial_trace, trace_norm,
+                     von_neumann_entropy)
 
 I2 = np.eye(2, dtype=complex)
 
@@ -128,16 +128,6 @@ def test_hermitian_eig_roundtrip_random():
             assert np.linalg.norm(a @ v[:, k] - w[k] * v[:, k]) <= 1e-12 * norm
 
 
-def test_hermitian_eig_returns_named_tuple():
-    out = hermitian_eig(SIGMA_Z)
-    assert isinstance(out, HermitianEigen)
-
-
-def test_hermitian_eig_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
 # ------------------------------------------------ exp_hermitian_generator
 
 def _expm_oracle(a):
@@ -193,6 +183,11 @@ def test_exp_inverse_property():
     t = 0.7
     prod = exp_hermitian_generator(h, t) @ exp_hermitian_generator(h, -t)
     assert np.max(np.abs(prod - np.eye(4))) <= 1e-12
+
+
+def test_exp_rejects_non_hermitian():
+    with pytest.raises(ValueError, match="exp_hermitian_generator"):
+        exp_hermitian_generator(np.array([[0, 1], [0, 0]], dtype=complex), 1.0)
 
 
 # ---------------------------------------------------------------- norms

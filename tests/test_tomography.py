@@ -86,7 +86,7 @@ def test_reconstruct_unevolved_probes_gives_identity():
 def test_reconstruct_full_swap_collision():
     # one full S-M swap with a thermal memory: constant map onto the memory
     config = RunConfig(couplings=CouplingParams(tau1=SWAP_TAU), n_max=1)
-    blochs = probe_bloch_history(evolve_runs([config])[0][1:])
+    blochs = probe_bloch_history(evolve_runs([config])[0][:, 0, 1:])
     out = reconstruct_affine(blochs[1])
     assert np.max(np.abs(out.m)) <= 1e-12
     assert np.allclose(out.c, [0.0, 0.0, -np.tanh(0.5)], atol=1e-12)
@@ -103,12 +103,12 @@ def test_reconstructed_map_predicts_direct_evolution():
     family = analyze(config).family
     rng = np.random.default_rng(9)
     rho0 = np.stack([random_density(rng) for _ in range(5)])
-    (trajectories,) = evolve_grid([config], rho0)
-    for rho, traj in zip(rho0, trajectories):
+    history, _ = evolve_grid([config], rho0)
+    for i, rho in enumerate(rho0):
         r0 = bloch_vector(rho)
         for n in (1, 17, 40):
             mapped = family.m[n] @ r0 + family.c[n]
-            assert np.linalg.norm(mapped - bloch_vector(traj.system_states[n])) <= 1e-9
+            assert np.linalg.norm(mapped - bloch_vector(history[n, 0, i])) <= 1e-9
 
 
 # ------------------------------------------------------------------ inverse
