@@ -25,7 +25,7 @@ import numpy as np
 from . import engine, tomography, witnesses
 from .engine import RunConfig
 from .linalg import HERMITICITY_TOL, _require_hermitian, block_eigvalsh
-from .model import SIGMA_X, SIGMA_Y, SIGMA_Z, probe_states
+from .model import probe_states
 from .tomography import AffineBlochMap, SingularMapError, _off_pattern_residual
 from .witnesses import WitnessRecord
 
@@ -83,11 +83,16 @@ _FIELDS = [f.name for f in fields(WitnessRecord)]
 
 
 def probe_bloch_history(probes: np.ndarray) -> np.ndarray:
-    """Bloch vectors of the (n+1, 4, 2, 2) probe states, shape (n+1, 4, 3)."""
-    pauli = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
-    # einsum iterates, and so rounds, in the operand's memory order; a
-    # contiguous copy makes the result independent of how states were sliced
-    return np.einsum("pij,nkji->nkp", pauli, np.ascontiguousarray(probes)).real
+    """Bloch vectors Tr(sigma rho) of the (n+1, 4, 2, 2) probe states, shape
+    (n+1, 4, 3)."""
+    re, im = probes.real, probes.imag
+    bloch = np.stack([re[..., 0, 1] + re[..., 1, 0],
+                      im[..., 1, 0] - im[..., 0, 1],
+                      re[..., 0, 0] - re[..., 1, 1]], axis=-1)
+    # the trace with a Pauli matrix, summed from +0, gives +0 for an exact
+    # zero; adding 0.0 does the same here
+    bloch += 0.0
+    return bloch
 
 
 def _witness_columns(sops: np.ndarray, rho_pre: np.ndarray,

@@ -31,7 +31,7 @@ import numpy as np
 from .analysis import RunResult, analyze, analyze_evolved, evolve_runs
 from .engine import InvariantDriftError, RunConfig
 from .model import (ANISOTROPIC, ISOTROPIC, CouplingParams, SpinParams,
-                    ThermalSpec, collision_unitaries)
+                    ThermalSpec)
 from .tomography import SingularMapError
 
 SCHEMA_VERSION = 1
@@ -293,9 +293,19 @@ def sweep_point_config(spec: ExperimentSpec, value: float) -> RunConfig:
 
 
 def _sweep_chunk(configs) -> list[tuple[dict | None, str | None]]:
-    """Evolve a chunk of grid points together, then analyze them one by one."""
+    """Evolve a chunk of grid points together, then analyze them one by one.
+
+    A chunk that cannot be evolved (a point's propagators cannot be built,
+    say) is evolved again one point at a time, so that only the points
+    that fail are recorded as failed.
+    """
+    try:
+        states, errors = evolve_runs(configs)
+    except Exception as exc:  # per-point failures recorded, sweep continues
+        if len(configs) == 1:
+            return [(None, f"{type(exc).__name__}: {exc}")]
+        return [o for config in configs for o in _sweep_chunk([config])]
     outcomes = []
-    states, errors = evolve_runs(configs)
     for p, (config, error) in enumerate(zip(configs, errors)):
         try:
             s = analyze_evolved(config, states[:, p], error).summary
@@ -312,19 +322,19 @@ def _sweep_chunk(configs) -> list[tuple[dict | None, str | None]]:
 def sweep_points(spec: ExperimentSpec, workers: int = 1) -> list[dict]:
     """Summary values of every grid point, in grid order, as in sweep.json.
 
-    Each point's configuration and propagators are built first; a point whose
-    build fails is recorded as failed and left out. The others are evolved in
-    contiguous chunks of at most ``SWEEP_CHUNK_BYTES`` of recorded system
+    Each point's configuration is built first; a point whose configuration
+    is rejected is recorded as failed and left out. The others are evolved
+    in contiguous chunks of at most ``SWEEP_CHUNK_BYTES`` of recorded system
     history, each chunk as one stacked collision loop, and then analyzed one
-    at a time. With ``workers > 1`` the chunks run in a process pool; the
-    values do not depend on the worker count.
+    at a time; a point whose propagators cannot be built fails alone. With
+    ``workers > 1`` the chunks run in a process pool; the values do not
+    depend on the worker count.
     """
     points = [{"grid_value": float(value)} for value in spec.grid]
     runnable = []
     for point in points:
         try:
             config = sweep_point_config(spec, point["grid_value"])
-            collision_unitaries(config.spins, config.couplings)
         except Exception as exc:  # per-point failures recorded, sweep continues
             point["error"] = f"{type(exc).__name__}: {exc}"
         else:

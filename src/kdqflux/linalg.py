@@ -18,16 +18,32 @@ HERMITICITY_TOL = 1e-10
 # more than twice this.
 BLOCK_TOL = 1e-15
 
+# Upper-triangle indices, diagonal included, of d x d matrices, d <= 16.
+_UPPER = [np.triu_indices(d) for d in range(17)]
+
+
+def hermiticity_deviation(m: np.ndarray) -> np.ndarray:
+    """Largest |m_ij - conj(m_ji)| of each member of a (..., d, d) stack.
+
+    Each pair i < j and each diagonal entry is taken once: bit for bit the
+    maximum of |m - m^H| over the whole matrix. A non-finite entry gives a
+    non-finite value; a NaN or infinite real part on the diagonal gives NaN.
+    """
+    i, j = _UPPER[m.shape[-1]]
+    dev = m[..., j, i]
+    np.conjugate(dev, out=dev)
+    np.subtract(m[..., i, j], dev, out=dev)
+    return np.abs(dev).max(axis=-1)
+
 
 def _require_hermitian(m: np.ndarray, tol: float, what: str) -> np.ndarray:
     """Hermitian part of a matrix or a (..., d, d) stack, after checking that
     no entry of any member deviates from it by more than ``tol``."""
-    m_dag = m.conj().swapaxes(-1, -2)
-    dev = float(np.max(np.abs(m - m_dag), initial=0.0))
+    dev = float(np.max(hermiticity_deviation(m), initial=0.0))
     if dev > tol:
         raise ValueError(f"{what}: input is not Hermitian (max deviation {dev:.3e})")
     # symmetrize round-off so eigh sees an exactly Hermitian matrix
-    return (m + m_dag) / 2
+    return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
 def eigvalsh2(p: np.ndarray, q: np.ndarray, o: np.ndarray,

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import block_eigvalsh, eigvalsh2
+from .linalg import block_eigvalsh, eigvalsh2, hermiticity_deviation
 
 # A state passed to qmi whose Hermiticity or trace error, or negative
 # eigenvalue, exceeds this is not a density matrix.
@@ -71,10 +71,9 @@ def qmi(rho_ls: np.ndarray) -> np.ndarray:
     matrix within ``DENSITY_TOL``.
     """
     rho_ls = np.asarray(rho_ls, dtype=complex)
-    rho_dag = rho_ls.conj().swapaxes(-1, -2)
-    herm = np.abs(rho_ls - rho_dag).max(axis=(-2, -1))
+    herm = hermiticity_deviation(rho_ls)
     traces = np.abs(np.trace(rho_ls, axis1=-2, axis2=-1) - 1.0)
-    w_ls = block_eigvalsh((rho_ls + rho_dag) / 2)
+    w_ls = block_eigvalsh((rho_ls + rho_ls.conj().swapaxes(-1, -2)) / 2)
     bad = (herm > DENSITY_TOL) | (traces > DENSITY_TOL) \
         | (w_ls.min(axis=-1) < -DENSITY_TOL)
     if bad.any():

@@ -2,9 +2,11 @@
 
 The package computes every stage as one array pass over a run; these
 functions compute them one collision or one matrix at a time: the
-allocating collision loop, the adjugate time-local map, the defining
-two-point KDQ expression, the checked ``eigh`` decomposition, and trace
-norm, entropy and mutual information from ``eigvalsh`` spectra.
+allocating collision loop and the LAPACK Cholesky certificate of its
+drift check, the Pauli-trace Bloch vectors, the adjugate time-local map,
+the defining two-point KDQ expression, the whole-matrix Hermiticity
+deviation, the checked ``eigh`` decomposition, and trace norm, entropy and
+mutual information from ``eigvalsh`` spectra.
 """
 
 from typing import Sequence
@@ -12,7 +14,8 @@ from typing import Sequence
 import numpy as np
 
 from kdqflux.linalg import HERMITICITY_TOL, _require_hermitian
-from kdqflux.model import collision_unitaries, thermal_state
+from kdqflux.model import (SIGMA_X, SIGMA_Y, SIGMA_Z, collision_unitaries,
+                           thermal_state)
 from kdqflux.tomography import (AffineBlochMap, SingularMapError, _adjugate3,
                                 _det3)
 
@@ -54,7 +57,30 @@ def joint_history(configs, states, n_max):
     return np.stack(history)
 
 
+def cholesky_certified(states, shift):
+    """Which members of a (..., 4, 4) stack LAPACK's Cholesky factorization
+    accepts once ``shift`` is added to the diagonal, one member at a time.
+
+    The drift check took this certificate, for a whole block at once,
+    before it factorized the states in closed form.
+    """
+    flat = np.reshape(states, (-1, 4, 4)) + shift * np.eye(4)
+    ok = np.ones(len(flat), dtype=bool)
+    for i, member in enumerate(flat):
+        try:
+            np.linalg.cholesky(member)
+        except np.linalg.LinAlgError:
+            ok[i] = False
+    return ok.reshape(np.shape(states)[:-2])
+
+
 # ------------------------------------------------------------- tomography
+
+def pauli_bloch_history(probes):
+    """Bloch vectors Tr(sigma rho) of a (..., 2, 2) stack as one Pauli einsum."""
+    pauli = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
+    return np.einsum("pij,...ji->...p", pauli, probes).real
+
 
 def time_local_map(family: AffineBlochMap, n: int) -> AffineBlochMap:
     """Step-n map of a stack of cumulative maps: lambda_n composed with the
@@ -130,6 +156,11 @@ def partial_trace(m: np.ndarray, dims: Sequence[int], keep) -> np.ndarray:
         nsub -= 1
     d_keep = int(np.prod([dims[i] for i in keep])) if keep else 1
     return out.reshape(d_keep, d_keep)
+
+
+def hermiticity_max(m: np.ndarray) -> np.ndarray:
+    """max |m - m^H| over each whole matrix of a (..., d, d) stack."""
+    return np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
 
 
 def hermitian_eig(m: np.ndarray, tol: float = HERMITICITY_TOL):

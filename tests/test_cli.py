@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from kdqflux import cli, engine
+from kdqflux import cli, engine, model
 from kdqflux.analysis import analyze
 from kdqflux.cli import (COLLISION_HEADER, SWEEP_HEADER, ExperimentSpec,
                          InvalidValueError, MissingKeyError, load_config,
@@ -269,6 +269,29 @@ def test_sweep_point_that_cannot_be_built_fails_alone(tmp_path):
     single = analyze(sweep_point_config(spec, 0.1)).summary
     assert points[2]["i_lfs"] == single.i_lfs
     assert points[2]["sum_nq"] == single.sum_nq
+
+
+def test_sweep_point_whose_propagators_fail_fails_alone(tmp_path, monkeypatch):
+    build = model.collision_unitaries
+
+    def failing_at_0_05(spins, couplings):
+        if spins.omega_s == 1.05:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return build(spins, couplings)
+
+    monkeypatch.setattr(model, "collision_unitaries", failing_at_0_05)
+    spec = dataclasses.replace(
+        load_config(None, {"kind": "detuning_sweep", "n_max": 20,
+                           "grid_points": 5, "grid_min": -0.1,
+                           "grid_max": 0.1}),
+        output_dir=tmp_path / "failing")
+    points = cli.sweep_points(spec)
+    assert points[3]["error"] == "LinAlgError: Eigenvalues did not converge"
+    for point in points[:3] + points[4:]:
+        assert point["error"] is None
+        single = analyze(sweep_point_config(spec, point["grid_value"])).summary
+        assert [point[k] for k in ("i_rhp", "i_lfs", "sum_nq")] == [
+            single.i_rhp, single.i_lfs, single.sum_nq]
 
 
 @pytest.mark.parametrize("kind, overrides", [

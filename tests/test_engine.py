@@ -3,13 +3,14 @@ import pytest
 
 from kdqflux import engine
 from kdqflux.analysis import TOL_POS
-from kdqflux.engine import (CHECK_BLOCK, DRIFT_TOL, InvariantDriftError,
-                            RunConfig, _check_block, evolve_grid)
+from kdqflux.engine import (CHECK_BLOCK, DRIFT_TOL, ROUNDING_MARGIN,
+                            InvariantDriftError, RunConfig, _check_block,
+                            _ldl_certified, evolve_grid)
 from kdqflux.model import (ANISOTROPIC, CouplingParams, SpinParams,
                            ThermalSpec, collision_unitaries, local_hamiltonian,
                            probe_states, thermal_state)
 from kdqflux.tomography import COND_THRESHOLD, SINGULAR_DET
-from oracles import joint_history, partial_trace
+from oracles import cholesky_certified, joint_history, partial_trace
 
 I2 = np.eye(2, dtype=complex)
 SWAP_TAU1 = np.pi / (2 * 0.2)   # g_sm * tau1 = pi/2, full S-M swap
@@ -254,6 +255,68 @@ def test_drift_check_state_failing_cholesky_but_not_eigvalsh_passes():
     assert errors == [None] * 3
 
 
+def _certificate_cases(rng, tol):
+    """Random rotated states with their minimum eigenvalue at and around
+    -tol, at 0 and well below -tol, and random pure states."""
+    levels = (-2 * tol, -tol * (1 + 1e-6), -tol, -tol * (1 - 1e-6),
+              -tol + ROUNDING_MARGIN, 0.0)
+    rotations, _ = np.linalg.qr(rng.normal(size=(len(levels), 100, 4, 4))
+                                + 1j * rng.normal(size=(len(levels), 100, 4, 4)))
+    states = [_state_with_min_eig(lam_min, q)
+              for lam_min, qs in zip(levels, rotations) for q in qs]
+    psi = rng.normal(size=(100, 4)) + 1j * rng.normal(size=(100, 4))
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    states += list(psi[:, :, np.newaxis] * psi[:, np.newaxis].conj())
+    return np.stack(states)
+
+
+# at tol = 1e-14 the shift is 0 and every case lies within 1e-13 of it
+@pytest.mark.parametrize("tol, n_clear", [(DRIFT_TOL, 300), (1e-12, 300),
+                                          (1e-14, 0)])
+def test_closed_form_certificate_is_sound_and_matches_cholesky(tol, n_clear):
+    rng = np.random.default_rng(17)
+    states = _certificate_cases(rng, tol)
+    shift = tol - ROUNDING_MARGIN
+    certified = _ldl_certified(states, shift)
+    min_eig = np.linalg.eigvalsh(states).min(axis=-1)
+    # never certifies a state that eigvalsh puts below -tol ...
+    assert not (certified & (min_eig < -tol)).any()
+    # ... and agrees with LAPACK's Cholesky away from the shifted boundary
+    clear = np.abs(min_eig + shift) > 1e-13
+    assert clear.sum() == n_clear
+    assert np.array_equal(certified[clear],
+                          cholesky_certified(states, shift)[clear])
+    # a stack's members are certified as they are alone
+    assert np.array_equal(certified, [_ldl_certified(s[np.newaxis], shift)[0]
+                                      for s in states])
+
+
+def test_closed_form_certificate_in_multi_point_blocks():
+    # boundary states among clean ones in blocks of three points: every
+    # point fails exactly at its first state that eigvalsh puts below -tol
+    rng = np.random.default_rng(23)
+    tol = DRIFT_TOL
+    cases = _certificate_cases(rng, tol)
+    clean = _state_with_min_eig(0.1, np.eye(4)).astype(complex)
+    for _ in range(20):
+        block = np.broadcast_to(clean, (8, 3, 5, 4, 4)).copy()
+        picks = rng.choice(len(cases), size=6, replace=False)
+        for pick in picks:
+            block[tuple(rng.integers(0, (8, 3, 5)))] = cases[pick]
+        min_eig = np.linalg.eigvalsh(block).min(axis=-1)
+        flat = block.reshape(-1, 4, 4)
+        assert not (_ldl_certified(flat, tol - ROUNDING_MARGIN)
+                    & (min_eig.reshape(-1) < -tol)).any()
+        errors = [None] * 3
+        _check_block(block, 64, tol, errors)
+        for p in range(3):
+            bad = (min_eig[:, p] < -tol).reshape(-1)
+            if not bad.any():
+                assert errors[p] is None
+            else:
+                assert errors[p].step == 64 + int(np.argmax(bad)) // 5
+
+
 @pytest.mark.parametrize("defect, message", [
     ("nan", "hermiticity nan, trace 0.00e+00, min eigenvalue nan"),
     ("trace", "hermiticity 0.00e+00, trace 3.00e-08, min eigenvalue 1.25e-01"),
@@ -323,8 +386,22 @@ def test_run_config_rejects_bad_initial_state():
         RunConfig(initial_system=np.array([[np.nan, 0], [0, 1.0]]))
 
 
+@pytest.mark.parametrize("n_max", [10.0, True, False, "5", np.float64(5.0)])
+def test_run_config_rejects_non_integer_n_max(n_max):
+    with pytest.raises(ValueError, match="n_max"):
+        RunConfig(n_max=n_max)
+
+
+def test_run_config_stores_n_max_as_a_plain_int():
+    config = RunConfig(n_max=np.int64(5))
+    assert type(config.n_max) is int and config.n_max == 5
+    history, (error,) = evolve_grid([config], np.stack(probe_states()))
+    assert error is None and history.shape[0] == 6
+
+
 def test_tolerance_constants():
     assert DRIFT_TOL == 1e-8
+    assert ROUNDING_MARGIN == 1e-14
     assert TOL_POS == 1e-10
     assert COND_THRESHOLD == 1e8
     assert SINGULAR_DET == 1e-12

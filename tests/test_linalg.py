@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from kdqflux.linalg import exp_hermitian_generator
+from kdqflux.linalg import exp_hermitian_generator, hermiticity_deviation
 from kdqflux.model import SIGMA_X, SIGMA_Z, heisenberg_interaction
-from oracles import (hermitian_eig, partial_trace, trace_norm,
-                     von_neumann_entropy)
+from oracles import (hermitian_eig, hermiticity_max, partial_trace,
+                     trace_norm, von_neumann_entropy)
 
 I2 = np.eye(2, dtype=complex)
 
@@ -126,6 +126,39 @@ def test_hermitian_eig_roundtrip_random():
         norm = np.linalg.norm(a)
         for k in range(4):
             assert np.linalg.norm(a @ v[:, k] - w[k] * v[:, k]) <= 1e-12 * norm
+
+
+# ----------------------------------------------------- Hermiticity deviation
+
+def _same_bits(a, b):
+    return np.array_equal(a, b, equal_nan=True) and \
+        np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("dim", [2, 4, 8])
+def test_hermiticity_deviation_equals_whole_matrix_max(dim):
+    rng = np.random.default_rng(dim)
+    a = rng.normal(size=(6, 5, dim, dim)) + 1j * rng.normal(size=(6, 5, dim, dim))
+    nearly = a + a.conj().swapaxes(-1, -2) + 1e-9 * a
+    for m in (a, nearly, np.asfortranarray(nearly), nearly[::2, 1:, ::-1],
+              nearly.swapaxes(-1, -2), nearly[0, 0]):
+        assert _same_bits(hermiticity_deviation(m), hermiticity_max(m))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_hermiticity_deviation_sees_a_non_finite_real_diagonal(value):
+    # 2 |Im h_ii| would read 0 here; |h_ii - conj(h_ii)| is NaN
+    rng = np.random.default_rng(2)
+    h = np.stack([random_hermitian(rng, 4) for _ in range(6)])
+    for k, (i, m) in enumerate([(0, h), (3, np.asfortranarray(h)),
+                                (1, h[::-1]), (2, h[:, ::-1, ::-1])]):
+        m = m.copy()
+        m[i, k, k] = value + 1j * m[i, k, k].imag
+        with np.errstate(invalid="ignore"):      # inf - inf
+            dev = hermiticity_deviation(m)
+            assert _same_bits(dev, hermiticity_max(m))
+        assert np.isnan(dev[i]) and np.array_equal(np.delete(dev, i),
+                                                   np.zeros(5))
 
 
 # ------------------------------------------------ exp_hermitian_generator

@@ -9,7 +9,7 @@ from kdqflux.tomography import (AffineBlochMap, _off_pattern_residual,
                                 affine_to_superoperator, bloch_vector, choi,
                                 density_from_bloch, reconstruct_affine,
                                 time_local_family)
-from oracles import apply_superoperator
+from oracles import apply_superoperator, pauli_bloch_history
 
 _PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 # Bloch vectors of the probe states, in the order (P0, P1, P+, PR)
@@ -73,6 +73,23 @@ def test_probe_bloch_constants():
     from kdqflux.model import probe_states
     for probe, expected in zip(probe_states(), PROBE_BLOCHS):
         assert np.allclose(bloch_vector(probe), expected, atol=1e-14)
+
+
+def test_probe_bloch_history_equals_pauli_trace_bit_for_bit():
+    rng = np.random.default_rng(9)
+    evolved = evolve_runs([RunConfig(n_max=130)])[0][:, 0, 1:]
+    signed = np.array([0.0, -0.0, 1.0, -0.5, 2.0**-1074, -3.0, 1e308, -1e308])
+    parts = rng.choice(signed, size=(2, 40, 4, 2, 2))
+    stacks = [evolved, parts[0] + 1j * parts[1],
+              rng.normal(size=(40, 4, 2, 2)) + 1j * rng.normal(size=(40, 4, 2, 2))]
+    for probes in stacks:
+        for m in (probes, np.asfortranarray(probes), probes[::3, ::-1],
+                  probes.swapaxes(-1, -2)):
+            with np.errstate(over="ignore"):
+                expected = pauli_bloch_history(m)
+                got = probe_bloch_history(m)
+            assert np.array_equal(got, expected)
+            assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 # -------------------------------------------------------------- reconstruct
