@@ -32,6 +32,10 @@ from .witnesses import WitnessRecord
 # N_q, g_n and delta_i count as positive above this threshold.
 TOL_POS = 1e-10
 
+# The four tomography probes, evolved after the physical state of each run.
+_PROBES = np.stack(probe_states())
+_PROBES.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class RunSummary:
@@ -143,7 +147,7 @@ def evolve_runs(configs) -> tuple[np.ndarray,
     if any(not np.array_equal(c.initial_system, initial) for c in configs):
         raise ValueError("grid configurations must share the initial state")
     return engine.evolve_grid(
-        configs, np.concatenate([initial[np.newaxis], np.stack(probe_states())]))
+        configs, np.concatenate([initial[np.newaxis], _PROBES]))
 
 
 def analyze_evolved(config: RunConfig, states: np.ndarray,

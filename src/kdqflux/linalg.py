@@ -40,7 +40,7 @@ def _require_hermitian(m: np.ndarray, tol: float, what: str) -> np.ndarray:
     """Hermitian part of a matrix or a (..., d, d) stack, after checking that
     no entry of any member deviates from it by more than ``tol``."""
     dev = float(np.max(hermiticity_deviation(m), initial=0.0))
-    if dev > tol:
+    if not dev <= tol:   # a NaN entry gives a NaN deviation
         raise ValueError(f"{what}: input is not Hermitian (max deviation {dev:.3e})")
     # symmetrize round-off so eigh sees an exactly Hermitian matrix
     return (m + m.conj().swapaxes(-1, -2)) / 2
@@ -48,15 +48,18 @@ def _require_hermitian(m: np.ndarray, tol: float, what: str) -> np.ndarray:
 
 def eigvalsh2(p: np.ndarray, q: np.ndarray, o: np.ndarray,
               det: np.ndarray | None = None) -> np.ndarray:
-    """Eigenvalues (..., 2) of the Hermitian stack [[p, o], [o*, q]], p, q real:
-    ``det`` (default p q - |o|^2) over the larger-magnitude root
+    """Eigenvalues (..., 2) of the Hermitian stack [[p, o], [o*, q]], with p,
+    q real and p, q, o of one shape: ``det`` (default p q - |o|^2) over the
+    larger-magnitude root
     tr/2 + hypot((p - q)/2, |o|), signed like the trace, then that root."""
     half = (p + q) / 2.0
-    big = half + np.copysign(np.hypot((p - q) / 2.0, np.abs(o)), half)
+    w = np.zeros(half.shape + (2,))
+    small, big = w[..., 0], w[..., 1]
+    np.add(half, np.copysign(np.hypot((p - q) / 2.0, np.abs(o)), half), out=big)
     if det is None:
         det = p * q - np.abs(o) ** 2
-    small = np.divide(det, big, out=np.zeros_like(big), where=big != 0.0)
-    return np.stack([small, big], axis=-1)
+    np.divide(det, big, out=small, where=big != 0.0)
+    return w
 
 
 def block_eigvalsh(h: np.ndarray, det03: np.ndarray | None = None,

@@ -123,13 +123,29 @@ def anisotropic_sm_interaction(gamma: float, strength: float = 1.0) -> np.ndarra
                        + np.kron(SIGMA_Z, SIGMA_Z))
 
 
-def _sm_hamiltonian(couplings: CouplingParams) -> np.ndarray:
-    if couplings.sm_interaction_kind == ANISOTROPIC:
-        strength = couplings.aniso_strength
-        if strength is None:
-            strength = couplings.g_sm / 2.0
-        return anisotropic_sm_interaction(couplings.gamma, strength)
-    return heisenberg_interaction(couplings.g_sm)
+def _constant(m: np.ndarray) -> np.ndarray:
+    """``m``, made read-only."""
+    m.flags.writeable = False
+    return m
+
+
+# Pauli products on S (x) M (x) A, built once with the Kronecker products
+# that the 2-qubit helpers above use. The propagators only scale and add
+# them; their Hamiltonians can differ from the Kronecker product of the
+# scaled helpers in the signs of zero entries, but not after the
+# symmetrization of ``exp_hermitian_generator``, so the propagators are the
+# same bits.
+_XX = np.kron(SIGMA_X, SIGMA_X)
+_YY = np.kron(SIGMA_Y, SIGMA_Y)
+_ZZ = np.kron(SIGMA_Z, SIGMA_Z)
+_ZII = _constant(np.kron(np.kron(SIGMA_Z, IDENTITY_2), IDENTITY_2))
+_IZI = _constant(np.kron(np.kron(IDENTITY_2, SIGMA_Z), IDENTITY_2))
+_IIZ = _constant(np.kron(np.kron(IDENTITY_2, IDENTITY_2), SIGMA_Z))
+_XXI = _constant(np.kron(_XX, IDENTITY_2))
+_YYI = _constant(np.kron(_YY, IDENTITY_2))
+_ZZI = _constant(np.kron(_ZZ, IDENTITY_2))
+_HEISENBERG_SM = _constant(np.kron(_XX + _YY + _ZZ, IDENTITY_2))
+_HEISENBERG_MA = _constant(np.kron(IDENTITY_2, _XX + _YY + _ZZ))
 
 
 def collision_unitaries(spins: SpinParams,
@@ -138,17 +154,23 @@ def collision_unitaries(spins: SpinParams,
 
     ``u_sm`` generates the system-memory collision of duration tau1 and
     ``u_ma`` the memory-environment collision of duration tau2; both include
-    the free evolution of all three qubits.
+    the free evolution of all three qubits. Each Hamiltonian is a sum of
+    the constant Pauli products above, scaled by the parameters.
     """
-    h_free = (
-        np.kron(np.kron(local_hamiltonian(spins.omega_s), IDENTITY_2), IDENTITY_2)
-        + np.kron(np.kron(IDENTITY_2, local_hamiltonian(spins.omega_m)), IDENTITY_2)
-        + np.kron(np.kron(IDENTITY_2, IDENTITY_2), local_hamiltonian(spins.omega_a)))
-    u_sm = exp_hermitian_generator(
-        h_free + np.kron(_sm_hamiltonian(couplings), IDENTITY_2), couplings.tau1)
+    h_free = (spins.omega_s / 2.0 * _ZII + spins.omega_m / 2.0 * _IZI
+              + spins.omega_a / 2.0 * _IIZ)
+    if couplings.sm_interaction_kind == ANISOTROPIC:
+        strength = couplings.aniso_strength
+        if strength is None:
+            strength = couplings.g_sm / 2.0
+        gamma = couplings.gamma
+        h_sm = strength * ((1.0 - gamma) / 2.0 * _XXI + (1.0 + gamma) / 2.0 * _YYI
+                           + _ZZI)
+    else:
+        h_sm = couplings.g_sm / 2.0 * _HEISENBERG_SM
+    u_sm = exp_hermitian_generator(h_free + h_sm, couplings.tau1)
     u_ma = exp_hermitian_generator(
-        h_free + np.kron(IDENTITY_2, heisenberg_interaction(couplings.g_ma)),
-        couplings.tau2)
+        h_free + couplings.g_ma / 2.0 * _HEISENBERG_MA, couplings.tau2)
     return u_sm, u_ma
 
 

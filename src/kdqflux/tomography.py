@@ -95,7 +95,10 @@ def reconstruct_affine(probe_blochs_at_n: np.ndarray) -> AffineBlochMap:
         raise ValueError("expected four Bloch vectors as a (..., 4, 3) array")
     b0, b1, bp, br = (b[..., i, :] for i in range(4))
     c = (b0 + b1) / 2.0
-    m = np.stack([bp - c, br - c, (b0 - b1) / 2.0], axis=-1)
+    m = np.empty(c.shape + (3,))
+    m[..., 0] = bp - c
+    m[..., 1] = br - c
+    m[..., 2] = (b0 - b1) / 2.0
     return AffineBlochMap(m=m, c=c)
 
 
@@ -108,18 +111,17 @@ def _det3(m: np.ndarray) -> np.ndarray:
 
 def _adjugate3(m: np.ndarray) -> np.ndarray:
     """Adjugates of a (..., 3, 3) stack."""
-    rows = (
-        (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1],
-         m[..., 0, 2] * m[..., 2, 1] - m[..., 0, 1] * m[..., 2, 2],
-         m[..., 0, 1] * m[..., 1, 2] - m[..., 0, 2] * m[..., 1, 1]),
-        (m[..., 1, 2] * m[..., 2, 0] - m[..., 1, 0] * m[..., 2, 2],
-         m[..., 0, 0] * m[..., 2, 2] - m[..., 0, 2] * m[..., 2, 0],
-         m[..., 0, 2] * m[..., 1, 0] - m[..., 0, 0] * m[..., 1, 2]),
-        (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0],
-         m[..., 0, 1] * m[..., 2, 0] - m[..., 0, 0] * m[..., 2, 1],
-         m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]),
-    )
-    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+    adj = np.empty(m.shape)
+    adj[..., 0, 0] = m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1]
+    adj[..., 0, 1] = m[..., 0, 2] * m[..., 2, 1] - m[..., 0, 1] * m[..., 2, 2]
+    adj[..., 0, 2] = m[..., 0, 1] * m[..., 1, 2] - m[..., 0, 2] * m[..., 1, 1]
+    adj[..., 1, 0] = m[..., 1, 2] * m[..., 2, 0] - m[..., 1, 0] * m[..., 2, 2]
+    adj[..., 1, 1] = m[..., 0, 0] * m[..., 2, 2] - m[..., 0, 2] * m[..., 2, 0]
+    adj[..., 1, 2] = m[..., 0, 2] * m[..., 1, 0] - m[..., 0, 0] * m[..., 1, 2]
+    adj[..., 2, 0] = m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0]
+    adj[..., 2, 1] = m[..., 0, 1] * m[..., 2, 0] - m[..., 0, 0] * m[..., 2, 1]
+    adj[..., 2, 2] = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    return adj
 
 
 def time_local_family(family: AffineBlochMap
@@ -177,10 +179,13 @@ def affine_to_superoperator(bloch_map: AffineBlochMap) -> np.ndarray:
               (0.0, (m[..., 0] + 1j * m[..., 1]) / 2.0),   # E_01
               (0.0, (m[..., 0] - 1j * m[..., 1]) / 2.0),   # E_10
               (0.5, (c - m[..., 2]) / 2.0))    # E_11
-    cols = [np.stack((p0 + p[..., 2], p[..., 0] - 1j * p[..., 1],
-                      p[..., 0] + 1j * p[..., 1], p0 - p[..., 2]), axis=-1)
-            for p0, p in p_vecs]
-    return np.stack(cols, axis=-1)
+    sop = np.empty(c.shape[:-1] + (4, 4), dtype=complex)
+    for col, (p0, p) in enumerate(p_vecs):
+        sop[..., 0, col] = p0 + p[..., 2]
+        sop[..., 1, col] = p[..., 0] - 1j * p[..., 1]
+        sop[..., 2, col] = p[..., 0] + 1j * p[..., 1]
+        sop[..., 3, col] = p0 - p[..., 2]
+    return sop
 
 
 def _off_pattern_residual(sop: np.ndarray) -> np.ndarray:

@@ -2,20 +2,25 @@
 
 The package computes every stage as one array pass over a run; these
 functions compute them one collision or one matrix at a time: the
+propagators as Kronecker products of the 2-qubit Hamiltonians, the
 allocating collision loop and the LAPACK Cholesky certificate of its
 drift check, the Pauli-trace Bloch vectors, the adjugate time-local map,
 the defining two-point KDQ expression, the whole-matrix Hermiticity
 deviation, the checked ``eigh`` decomposition, and trace norm, entropy and
-mutual information from ``eigvalsh`` spectra.
+mutual information from ``eigvalsh`` spectra. The ``stacked_*`` functions
+are the package's array builders as they assembled their outputs with
+``np.stack``, which the preallocating ones must match bit for bit.
 """
 
 from typing import Sequence
 
 import numpy as np
 
-from kdqflux.linalg import HERMITICITY_TOL, _require_hermitian
-from kdqflux.model import (SIGMA_X, SIGMA_Y, SIGMA_Z, collision_unitaries,
-                           thermal_state)
+from kdqflux.linalg import (HERMITICITY_TOL, _require_hermitian,
+                            exp_hermitian_generator)
+from kdqflux.model import (ANISOTROPIC, IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z,
+                           anisotropic_sm_interaction, heisenberg_interaction,
+                           local_hamiltonian, thermal_state)
 from kdqflux.tomography import (AffineBlochMap, SingularMapError, _adjugate3,
                                 _det3)
 
@@ -24,7 +29,36 @@ from kdqflux.tomography import (AffineBlochMap, SingularMapError, _adjugate3,
 EIG_CLIP = 1e-10
 
 
+def same_bits(a, b) -> bool:
+    """Whether two arrays have one shape and dtype and the same bits, signs
+    of zeros included."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 # ------------------------------------------------------------- collisions
+
+def kron_collision_unitaries(spins, couplings):
+    """The propagators of ``model.collision_unitaries``, with every
+    S (x) M (x) A Hamiltonian term a Kronecker product of 2-qubit ones."""
+    h_free = (
+        np.kron(np.kron(local_hamiltonian(spins.omega_s), IDENTITY_2), IDENTITY_2)
+        + np.kron(np.kron(IDENTITY_2, local_hamiltonian(spins.omega_m)), IDENTITY_2)
+        + np.kron(np.kron(IDENTITY_2, IDENTITY_2), local_hamiltonian(spins.omega_a)))
+    if couplings.sm_interaction_kind == ANISOTROPIC:
+        strength = couplings.aniso_strength
+        if strength is None:
+            strength = couplings.g_sm / 2.0
+        h_sm = anisotropic_sm_interaction(couplings.gamma, strength)
+    else:
+        h_sm = heisenberg_interaction(couplings.g_sm)
+    u_sm = exp_hermitian_generator(h_free + np.kron(h_sm, IDENTITY_2),
+                                   couplings.tau1)
+    u_ma = exp_hermitian_generator(
+        h_free + np.kron(IDENTITY_2, heisenberg_interaction(couplings.g_ma)),
+        couplings.tau2)
+    return u_sm, u_ma
+
 
 def _half_step(x, u, u_dag, env):
     """One half-collision on a (G, 4, k, 4) stack, allocating every array.
@@ -42,7 +76,7 @@ def _half_step(x, u, u_dag, env):
 
 def joint_history(configs, states, n_max):
     """Joint states (n_max + 1, G, k, 4, 4) of the allocating collision loop."""
-    unitaries = [collision_unitaries(c.spins, c.couplings) for c in configs]
+    unitaries = [kron_collision_unitaries(c.spins, c.couplings) for c in configs]
     u_sm = np.stack([u for u, _ in unitaries])
     u_ma = np.stack([u for _, u in unitaries])
     rho_m = np.stack([thermal_state(c.thermal, c.spins.omega_m) for c in configs])
@@ -80,6 +114,42 @@ def pauli_bloch_history(probes):
     """Bloch vectors Tr(sigma rho) of a (..., 2, 2) stack as one Pauli einsum."""
     pauli = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
     return np.einsum("pij,...ji->...p", pauli, probes).real
+
+
+def stacked_reconstruct_affine(b):
+    """(M, c) of ``tomography.reconstruct_affine`` for a (..., 4, 3) stack of
+    probe Bloch vectors."""
+    b0, b1, bp, br = (b[..., i, :] for i in range(4))
+    c = (b0 + b1) / 2.0
+    return np.stack([bp - c, br - c, (b0 - b1) / 2.0], axis=-1), c
+
+
+def stacked_adjugate3(m):
+    """``tomography._adjugate3`` of a (..., 3, 3) stack."""
+    rows = (
+        (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1],
+         m[..., 0, 2] * m[..., 2, 1] - m[..., 0, 1] * m[..., 2, 2],
+         m[..., 0, 1] * m[..., 1, 2] - m[..., 0, 2] * m[..., 1, 1]),
+        (m[..., 1, 2] * m[..., 2, 0] - m[..., 1, 0] * m[..., 2, 2],
+         m[..., 0, 0] * m[..., 2, 2] - m[..., 0, 2] * m[..., 2, 0],
+         m[..., 0, 2] * m[..., 1, 0] - m[..., 0, 0] * m[..., 1, 2]),
+        (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0],
+         m[..., 0, 1] * m[..., 2, 0] - m[..., 0, 0] * m[..., 2, 1],
+         m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]),
+    )
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+
+
+def stacked_affine_to_superoperator(m, c):
+    """``tomography.affine_to_superoperator`` of the affine stack (M, c)."""
+    p_vecs = ((0.5, (c + m[..., 2]) / 2.0),
+              (0.0, (m[..., 0] + 1j * m[..., 1]) / 2.0),
+              (0.0, (m[..., 0] - 1j * m[..., 1]) / 2.0),
+              (0.5, (c - m[..., 2]) / 2.0))
+    cols = [np.stack((p0 + p[..., 2], p[..., 0] - 1j * p[..., 1],
+                      p[..., 0] + 1j * p[..., 1], p0 - p[..., 2]), axis=-1)
+            for p0, p in p_vecs]
+    return np.stack(cols, axis=-1)
 
 
 def time_local_map(family: AffineBlochMap, n: int) -> AffineBlochMap:
@@ -156,6 +226,16 @@ def partial_trace(m: np.ndarray, dims: Sequence[int], keep) -> np.ndarray:
         nsub -= 1
     d_keep = int(np.prod([dims[i] for i in keep])) if keep else 1
     return out.reshape(d_keep, d_keep)
+
+
+def stacked_eigvalsh2(p, q, o, det=None):
+    """``linalg.eigvalsh2`` of the 2x2 Hermitian stack [[p, o], [o*, q]]."""
+    half = (p + q) / 2.0
+    big = half + np.copysign(np.hypot((p - q) / 2.0, np.abs(o)), half)
+    if det is None:
+        det = p * q - np.abs(o) ** 2
+    small = np.divide(det, big, out=np.zeros_like(big), where=big != 0.0)
+    return np.stack([small, big], axis=-1)
 
 
 def hermiticity_max(m: np.ndarray) -> np.ndarray:

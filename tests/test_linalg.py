@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from kdqflux.linalg import exp_hermitian_generator, hermiticity_deviation
+from kdqflux.linalg import (HERMITICITY_TOL, _require_hermitian, eigvalsh2,
+                            exp_hermitian_generator, hermiticity_deviation)
 from kdqflux.model import SIGMA_X, SIGMA_Z, heisenberg_interaction
-from oracles import (hermitian_eig, hermiticity_max, partial_trace,
-                     trace_norm, von_neumann_entropy)
+from oracles import (hermitian_eig, hermiticity_max, partial_trace, same_bits,
+                     stacked_eigvalsh2, trace_norm, von_neumann_entropy)
 
 I2 = np.eye(2, dtype=complex)
 
@@ -161,6 +162,52 @@ def test_hermiticity_deviation_sees_a_non_finite_real_diagonal(value):
                                                    np.zeros(5))
 
 
+def test_require_hermitian_rejects_a_nan_member():
+    rng = np.random.default_rng(3)
+    h = np.stack([random_hermitian(rng, 4) for _ in range(5)])
+    h[2, 1, 3] = np.nan
+    with pytest.raises(ValueError, match="max deviation nan"):
+        _require_hermitian(h, HERMITICITY_TOL, "stack")
+
+
+def test_require_hermitian_keeps_finite_results():
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+    nearly = a + a.conj().swapaxes(-1, -2) + 1e-12 * a
+    assert same_bits(_require_hermitian(nearly, HERMITICITY_TOL, "stack"),
+                     (nearly + nearly.conj().swapaxes(-1, -2)) / 2)
+    # a deviation of exactly tol passes, a larger one does not
+    edge = np.array([[0.0, 0.5], [0.0, 0.0]], dtype=complex)
+    assert same_bits(_require_hermitian(edge, 0.5, "edge"),
+                     np.array([[0.0, 0.25], [0.25, 0.0]], dtype=complex))
+    with pytest.raises(ValueError, match="max deviation 5.000e-01"):
+        _require_hermitian(edge, 0.25, "edge")
+
+
+# ---------------------------------------------------------------- eigvalsh2
+
+def _signed_stack(rng, shape):
+    """A real stack drawn from values that include signed zeros."""
+    signed = np.array([0.0, -0.0, 1.0, -0.5, 2.0**-1074, -3.0, 0.25])
+    return rng.choice(signed, size=shape)
+
+
+def test_eigvalsh2_equals_stacked_form_bit_for_bit():
+    # random entries, entries with signed zeros (where the larger root can
+    # be zero), a given determinant, and an empty stack
+    rng = np.random.default_rng(5)
+    normal = [rng.normal(size=(7, 5)) for _ in range(4)]
+    signed = [_signed_stack(rng, (7, 5)) for _ in range(4)]
+    cases = [(*normal[:3], None),
+             (signed[0], signed[1], signed[2] + 1j * signed[3], None),
+             (signed[0], signed[1], signed[2] - 1j * normal[3], normal[0]),
+             (np.zeros((0, 5)), np.zeros((0, 5)), np.zeros((0, 5), complex), None)]
+    for p, q, o, det in cases:
+        for view in (lambda x: x, np.asfortranarray, lambda x: x[::-1, ::2]):
+            args = [view(x) for x in (p, q, o)] + [None if det is None else view(det)]
+            assert same_bits(eigvalsh2(*args), stacked_eigvalsh2(*args))
+
+
 # ------------------------------------------------ exp_hermitian_generator
 
 def _expm_oracle(a):
@@ -221,6 +268,11 @@ def test_exp_inverse_property():
 def test_exp_rejects_non_hermitian():
     with pytest.raises(ValueError, match="exp_hermitian_generator"):
         exp_hermitian_generator(np.array([[0, 1], [0, 0]], dtype=complex), 1.0)
+
+
+def test_exp_rejects_a_nan_entry():
+    with pytest.raises(ValueError, match="exp_hermitian_generator"):
+        exp_hermitian_generator(np.array([[np.nan, 5], [0, 1]], dtype=complex), 1.0)
 
 
 # ---------------------------------------------------------------- norms

@@ -1,15 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from kdqflux.linalg import exp_hermitian_generator
-from kdqflux.model import (ANISOTROPIC, IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z,
-                           CouplingParams, SpinParams, ThermalSpec,
-                           anisotropic_sm_interaction, collision_unitaries,
-                           heisenberg_interaction, local_hamiltonian,
-                           maximally_entangled_state, probe_states,
-                           thermal_state)
+from kdqflux.model import (ANISOTROPIC, IDENTITY_2, ISOTROPIC, SIGMA_X,
+                           SIGMA_Y, SIGMA_Z, CouplingParams, SpinParams,
+                           ThermalSpec, anisotropic_sm_interaction,
+                           collision_unitaries, heisenberg_interaction,
+                           local_hamiltonian, maximally_entangled_state,
+                           probe_states, thermal_state)
 from kdqflux.witnesses import qmi
-from oracles import partial_trace
+from oracles import kron_collision_unitaries, partial_trace, same_bits
 
 
 def comm(a, b):
@@ -100,6 +102,28 @@ def test_collision_unitaries_are_unitary():
                           CouplingParams(sm_interaction_kind=ANISOTROPIC, gamma=0.5)):
             for u in collision_unitaries(spins, couplings):
                 assert np.max(np.abs(u.conj().T @ u - np.eye(8))) <= 1e-12
+
+
+def test_collision_unitaries_equal_kron_assembly_bit_for_bit():
+    # 25 random configurations for each coupling kind, gamma (random, -1,
+    # +1), default or explicit anisotropic strength, and random or zero tau
+    rng = np.random.default_rng(17)
+    cases = itertools.product((ISOTROPIC, ANISOTROPIC), (None, -1.0, 1.0),
+                              (False, True), (False, True), range(25))
+    for kind, gamma, explicit, zero_tau, _ in cases:
+        spins = SpinParams(omega_s=rng.uniform(0.05, 2.0),
+                           omega_m=rng.uniform(-2.0, 2.0),
+                           omega_a=rng.uniform(-2.0, 2.0))
+        couplings = CouplingParams(
+            g_sm=rng.uniform(-0.5, 0.5), g_ma=rng.uniform(-0.5, 0.5),
+            tau1=0.0 if zero_tau else rng.uniform(0.0, 2.0),
+            tau2=0.0 if zero_tau else rng.uniform(0.0, 2.0),
+            gamma=rng.uniform(-1.0, 1.0) if gamma is None else gamma,
+            sm_interaction_kind=kind,
+            aniso_strength=rng.uniform(-1.0, 1.0) if explicit else None)
+        for got, want in zip(collision_unitaries(spins, couplings),
+                             kron_collision_unitaries(spins, couplings)):
+            assert same_bits(got, want), (spins, couplings)
 
 
 def test_resonant_isotropic_energy_preservation():

@@ -5,11 +5,13 @@ from kdqflux.analysis import analyze, evolve_runs, probe_bloch_history
 from kdqflux.engine import RunConfig, evolve_grid
 from kdqflux.model import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z,
                            CouplingParams)
-from kdqflux.tomography import (AffineBlochMap, _off_pattern_residual,
-                                affine_to_superoperator, bloch_vector, choi,
-                                density_from_bloch, reconstruct_affine,
-                                time_local_family)
-from oracles import apply_superoperator, pauli_bloch_history
+from kdqflux.tomography import (AffineBlochMap, _adjugate3,
+                                _off_pattern_residual, affine_to_superoperator,
+                                bloch_vector, choi, density_from_bloch,
+                                reconstruct_affine, time_local_family)
+from oracles import (apply_superoperator, pauli_bloch_history, same_bits,
+                     stacked_adjugate3, stacked_affine_to_superoperator,
+                     stacked_reconstruct_affine)
 
 _PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 # Bloch vectors of the probe states, in the order (P0, P1, P+, PR)
@@ -322,3 +324,41 @@ def test_choi_block_layout():
             assert np.allclose(j[2 * i:2 * i + 2, 2 * k:2 * k + 2],
                                apply_superoperator(sop, unit), atol=1e-13)
 
+
+# ------------------------------------------------- preallocated builders
+
+def _real_stacks(rng, evolved, shape):
+    """Random stacks of ``shape``, stacks with signed zeros, and ``evolved``
+    (data of a run), each as given, Fortran-ordered, sliced and empty."""
+    signed = np.array([0.0, -0.0, 1.0, -0.5, 2.0**-1074, -3.0, 0.25])
+    for stack in (rng.normal(size=shape), rng.choice(signed, size=shape),
+                  evolved):
+        yield from (stack, np.asfortranarray(stack), stack[::-3], stack[:0])
+
+
+def test_reconstruct_affine_equals_stacked_form_bit_for_bit():
+    rng = np.random.default_rng(11)
+    evolved = probe_bloch_history(evolve_runs([RunConfig(n_max=60)])[0][:, 0, 1:])
+    for blochs in _real_stacks(rng, evolved, (40, 4, 3)):
+        m, c = stacked_reconstruct_affine(blochs)
+        out = reconstruct_affine(blochs)
+        assert same_bits(out.m, m) and same_bits(out.c, c)
+
+
+def test_adjugate_equals_stacked_form_bit_for_bit():
+    rng = np.random.default_rng(12)
+    family = analyze(RunConfig(n_max=60)).family
+    for m in _real_stacks(rng, family.m, (40, 3, 3)):
+        assert same_bits(_adjugate3(m), stacked_adjugate3(m))
+
+
+def test_superoperator_equals_stacked_form_bit_for_bit():
+    rng = np.random.default_rng(13)
+    result = analyze(RunConfig(n_max=60, couplings=CouplingParams(
+        sm_interaction_kind="anisotropic", gamma=0.4)))
+    steps, _ = time_local_family(result.family)
+    maps = np.concatenate([steps.m, steps.c[:, :, np.newaxis]], axis=-1)
+    for stack in _real_stacks(rng, maps, (40, 3, 4)):
+        m, c = stack[..., :3], stack[..., 3]
+        assert same_bits(affine_to_superoperator(AffineBlochMap(m=m, c=c)),
+                         stacked_affine_to_superoperator(m, c))
