@@ -22,12 +22,15 @@ print(f"  max dI   = {result.record_array('delta_i').max():.2e}")
 print(f"  I_RHP    = {result.summary.i_rhp:.2e}")
 print(f"  I_LFS    = {result.summary.i_lfs:.2e}")
 
-# the single-step map settles immediately: compare a few Bloch matrices
+# the single-step map settles immediately: compare its four numbers
+# (a, b, c, d) at a few collisions
 from kdqflux.tomography import time_local_family  # noqa: E402
 
 steps, _ = time_local_family(result.family)    # member n - 1 is step n
+np.set_printoptions(precision=6, suppress=True)
+print(f"  step map (a, b, c, d) at collision 2: {steps[1]}")
 print(f"  step-map drift between collisions 2 and 9: "
-      f"{np.max(np.abs(steps.m[1] - steps.m[8])):.2e}")
+      f"{np.max(np.abs(steps[1] - steps[8])):.2e}")
 
 print("\nthe same configuration with a partial swap instead (tau2 = 0.2)")
 partial = analyze(RunConfig(n_max=150))

@@ -15,10 +15,8 @@ from .model import (CouplingParams, SpinParams, ThermalSpec,
                     anisotropic_sm_interaction, collision_unitaries,
                     heisenberg_interaction, local_hamiltonian,
                     maximally_entangled_state, probe_states, thermal_state)
-from .tomography import (AffineBlochMap, SingularMapError,
-                         affine_to_superoperator, bloch_vector, choi,
-                         density_from_bloch, reconstruct_affine,
-                         time_local_family)
+from .tomography import (SingularMapError, bloch_vector, density_from_bloch,
+                         phase_covariant_maps, time_local_family)
 from .witnesses import WitnessRecord, lfs_series, qmi
 
 __version__ = "0.1.0"

@@ -4,16 +4,13 @@ Pipeline: evolve the physical state and the four tomography probes together,
 collision by collision, for one configuration or a whole grid of them
 (``evolve_runs``); then analyze each configuration's collisions in one array
 pass (``analyze_evolved``); ``analyze`` composes the two for one run. The
-pass reads the cumulative maps (M_n, c_n) off the probe Bloch vectors as
-stacks, inverts every predecessor M_{n-1} at once (the determinant and
-condition scan finds the first singular step), composes the single-step
-maps in batch, converts them to superoperators and Choi matrices by reshape
-and transpose, and takes g_n and the minimum Choi eigenvalue from the closed
-form roots of each Choi matrix's two 2x2 blocks, whose determinants are the
-CP margins (``linalg.block_eigvalsh``). The KDQ non-positivity N_q,
-the phase covariant entries, the CP margins and <dE> are elementwise array
-expressions. Record n describes collision n (the step from state n-1 to
-state n); its ``delta_i`` is the QMI change realized by that collision.
+pass reads the four numbers (a, b, c, d) of every cumulative map off the
+probe Bloch vectors, finds the first singular predecessor and composes the
+step maps in closed form (``tomography``); g_n and the minimum Choi
+eigenvalue come from the 2x2 Choi blocks of each step map, delta_i from
+those of the cumulative maps (``witnesses.lfs_series``). Record n describes
+collision n (the step from state n-1 to state n); its ``delta_i`` is the QMI
+change realized by that collision.
 """
 
 import time
@@ -24,9 +21,8 @@ import numpy as np
 
 from . import engine, tomography, witnesses
 from .engine import RunConfig
-from .linalg import HERMITICITY_TOL, _require_hermitian, block_eigvalsh
+from .linalg import eigvalsh2
 from .model import probe_states
-from .tomography import AffineBlochMap, SingularMapError, _off_pattern_residual
 from .witnesses import WitnessRecord
 
 # N_q, g_n and delta_i count as positive above this threshold.
@@ -62,14 +58,15 @@ class RunResult:
     ``states`` holds the (n + 1, 5, 2, 2) system states: the physical one,
     then the probes P0, P1, P+ and PR in ``model.probe_states`` order.
     ``columns`` maps each WitnessRecord field to its (n,) array over
-    collisions 1..n; ``family`` stacks the cumulative maps, n = 0..n_max.
+    collisions 1..n; ``family`` is the (n + 1, 4) stack of (a, b, c, d) of
+    the cumulative maps, n = 0..n_max (``tomography.phase_covariant_maps``).
     ``records`` holds the same values as WitnessRecord objects, built on
     first use.
     """
 
     config: RunConfig
     states: np.ndarray
-    family: AffineBlochMap
+    family: np.ndarray
     columns: dict[str, np.ndarray]
     summary: RunSummary
     elapsed: float = field(default=0.0, repr=False)
@@ -99,37 +96,30 @@ def probe_bloch_history(probes: np.ndarray) -> np.ndarray:
     return bloch
 
 
-def _witness_columns(sops: np.ndarray, rho_pre: np.ndarray,
+def _witness_columns(steps: np.ndarray, rho_pre: np.ndarray,
                      delta_i: np.ndarray, omega_s: float) -> list[np.ndarray]:
     """Per-collision witness values of a stack of step maps, as arrays.
 
-    ``sops`` are the (n, 4, 4) superoperators of the step maps, ``rho_pre``
-    the (n, 2, 2) states they act on and ``delta_i`` the n QMI increments.
-    The columns come in the field order of WitnessRecord after ``n``. The
-    energy basis is the computational one, so each KDQ value
-    q[in, fin] = Tr[Pi_fin Lambda[Pi_in rho]] is a sum of two products.
+    ``steps`` is the (n, 4) stack of (a, b, c, d) of the step maps,
+    ``rho_pre`` the (n, 2, 2) states they act on and ``delta_i`` the n QMI
+    increments; the columns follow WitnessRecord after ``n``. The KDQ values
+    q[in, fin] = Tr[Pi_fin Lambda[Pi_in rho]] in the computational (energy)
+    basis are a p0, (1-a) p0, b p1 and (1-b) p1; ``residual`` is 0.
     """
-    r00, r01 = rho_pre[:, 0, 0], rho_pre[:, 0, 1]
-    r10, r11 = rho_pre[:, 1, 0], rho_pre[:, 1, 1]
-    q00 = sops[:, 0, 0] * r00 + sops[:, 0, 1] * r01
-    q01 = sops[:, 3, 0] * r00 + sops[:, 3, 1] * r01
-    q10 = sops[:, 0, 2] * r10 + sops[:, 0, 3] * r11
-    q11 = sops[:, 3, 2] * r10 + sops[:, 3, 3] * r11
-    a, b = sops[:, 0, 0].real, sops[:, 0, 3].real
-    c, d = sops[:, 1, 1], sops[:, 1, 2]
-    p0, p1 = r00.real, r11.real
+    a, b, c, d = steps[:, 0].real, steps[:, 1].real, steps[:, 2], steps[:, 3]
+    p0, p1 = rho_pre[:, 0, 0].real, rho_pre[:, 1, 1].real
     c_margin = a * (1.0 - b) - np.abs(c) ** 2
     d_margin = b * (1.0 - a) - np.abs(d) ** 2
     # the Choi blocks [[a, c], [c*, 1-b]] and [[1-a, d*], [d, b]] have the
     # CP margins as determinants
-    w = block_eigvalsh(_require_hermitian(
-        tomography.choi(sops), HERMITICITY_TOL, "Choi matrices of the step maps"),
-        c_margin, d_margin)
-    return [p0, p1, a, b, c, d, _off_pattern_residual(sops),
-            np.abs(q00) + np.abs(q01) + np.abs(q10) + np.abs(q11) - 1.0,  # N_q
-            np.abs(w).sum(axis=1) / 2.0 - 1.0,                            # g_n
+    w = np.concatenate([eigvalsh2(a, 1.0 - b, c, c_margin),
+                        eigvalsh2(1.0 - a, b, d, d_margin)], axis=-1)
+    return [p0, p1, a, b, c, d, np.zeros(len(a)),
+            np.abs(a * p0) + np.abs((1.0 - a) * p0)
+            + np.abs(b * p1) + np.abs((1.0 - b) * p1) - 1.0,            # N_q
+            np.abs(w).sum(axis=1) / 2.0 - 1.0,                          # g_n
             delta_i,
-            omega_s * ((a - 1.0) * p0 + b * p1),                          # <dE>
+            omega_s * ((a - 1.0) * p0 + b * p1),                        # <dE>
             c_margin, d_margin,
             w.min(axis=1)]                                    # min Choi eigenvalue
 
@@ -166,16 +156,14 @@ def analyze_evolved(config: RunConfig, states: np.ndarray,
         t_start = time.perf_counter()
     if error is not None:
         states = states[:error.step]
-    family = tomography.reconstruct_affine(probe_bloch_history(states[:, 1:]))
-    delta_i = witnesses.lfs_series(
-        tomography.choi(tomography.affine_to_superoperator(family)))
+    family = tomography.phase_covariant_maps(probe_bloch_history(states[:, 1:]))
+    delta_i = witnesses.lfs_series(family)
     steps, singular = tomography.time_local_family(family)
     if singular is not None:
         error = singular
-    sops = tomography.affine_to_superoperator(steps)
-    n = len(sops)
+    n = len(steps)
     columns = dict(zip(_FIELDS, [np.arange(1, n + 1), *_witness_columns(
-        sops, states[:n, 0], delta_i[:n], config.spins.omega_s)]))
+        steps, states[:n, 0], delta_i[:n], config.spins.omega_s)]))
     result = RunResult(
         config=config, states=states, family=family, columns=columns,
         summary=summarize(columns, n_max=config.n_max),

@@ -4,19 +4,14 @@ Everything operates on plain numpy complex arrays. All functions are pure and
 hold no global state, so they are safe to call from concurrent workers.
 Hermitian decompositions are delegated to LAPACK via ``numpy.linalg.eigh``,
 which returns eigenvalues in ascending order. Stacks of 2x2 Hermitian
-matrices, and 4x4 ones made of two 2x2 blocks (the Choi matrices of
-phase-covariant qubit maps), get their eigenvalues in closed form instead.
+matrices (the blocks of the Choi matrices of phase-covariant qubit maps)
+get their eigenvalues in closed form instead.
 """
 
 import numpy as np
 
 # Absolute, max-entry tolerance for accepting a matrix as Hermitian.
 HERMITICITY_TOL = 1e-10
-
-# Largest cross-block entry with which ``block_eigvalsh`` still uses the two
-# 2x2 blocks; by Weyl's bound, dropping such entries moves no eigenvalue by
-# more than twice this.
-BLOCK_TOL = 1e-15
 
 # Upper-triangle indices, diagonal included, of d x d matrices, d <= 16.
 _UPPER = [np.triu_indices(d) for d in range(17)]
@@ -59,21 +54,6 @@ def eigvalsh2(p: np.ndarray, q: np.ndarray, o: np.ndarray,
     if det is None:
         det = p * q - np.abs(o) ** 2
     np.divide(det, big, out=small, where=big != 0.0)
-    return w
-
-
-def block_eigvalsh(h: np.ndarray, det03: np.ndarray | None = None,
-                   det12: np.ndarray | None = None) -> np.ndarray:
-    """Unsorted eigenvalues of a (..., 4, 4) Hermitian stack from its 2x2
-    blocks on the index pairs (0, 3) and (1, 2), whose determinants
-    ``det03`` and ``det12`` may be given. Members with a cross-block entry
-    above ``BLOCK_TOL`` go through ``eigvalsh`` instead."""
-    w = np.concatenate(
-        [eigvalsh2(h[..., i, i].real, h[..., j, j].real, h[..., i, j], det)
-         for i, j, det in ((0, 3, det03), (1, 2, det12))], axis=-1)
-    fallback = np.abs(h[..., (0, 0, 3, 3), (1, 2, 1, 2)]).max(axis=-1) > BLOCK_TOL
-    if fallback.any():
-        w[fallback] = np.linalg.eigvalsh(h[fallback])
     return w
 
 

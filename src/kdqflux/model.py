@@ -178,10 +178,13 @@ def thermal_state(spec: ThermalSpec, omega: float) -> np.ndarray:
     """Gibbs state exp(-beta H)/Z for H = (omega/2) sigma_z.
 
     Diagonal in the computational basis; for omega > 0 the excited level is
-    |0> so the ground population sits on |1>.
+    |0> so the ground population sits on |1>. Once beta |omega| / 2 is past
+    the range of exp (about 709), the weight of the ground level overflows;
+    the state is then its exact limit, the pure ground state.
     """
-    w = np.exp(-spec.beta * np.array([omega / 2.0, -omega / 2.0]))
-    w /= w.sum()
+    with np.errstate(over="ignore"):
+        w = np.exp(-spec.beta * np.array([omega / 2.0, -omega / 2.0]))
+    w = np.isinf(w).astype(float) if np.isinf(w).any() else w / w.sum()
     return np.diag(w).astype(complex)
 
 

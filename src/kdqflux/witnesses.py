@@ -21,11 +21,10 @@ mutual-information series.
 """
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .linalg import block_eigvalsh, eigvalsh2, hermiticity_deviation
+from .linalg import eigvalsh2, hermiticity_deviation
 
 # A state passed to qmi whose Hermiticity or trace error, or negative
 # eigenvalue, exceeds this is not a density matrix.
@@ -65,15 +64,15 @@ def qmi(rho_ls: np.ndarray) -> np.ndarray:
     """Quantum mutual information S(rho_L) + S(rho_S) - S(rho_LS), in bits.
 
     ``rho_ls`` is a two-qubit state or a (..., 4, 4) stack of them; the
-    result has the stack's shape. The spectra are taken in closed form
-    (``linalg.block_eigvalsh`` and ``linalg.eigvalsh2``). Raises ValueError
-    for the first state, in flattened stack order, that is not a density
-    matrix within ``DENSITY_TOL``.
+    result has the stack's shape. The joint spectra come from ``eigvalsh``,
+    the marginal ones from the 2x2 formula ``linalg.eigvalsh2``. Raises
+    ValueError for the first state, in flattened stack order, that is not a
+    density matrix within ``DENSITY_TOL``.
     """
     rho_ls = np.asarray(rho_ls, dtype=complex)
     herm = hermiticity_deviation(rho_ls)
     traces = np.abs(np.trace(rho_ls, axis1=-2, axis2=-1) - 1.0)
-    w_ls = block_eigvalsh((rho_ls + rho_ls.conj().swapaxes(-1, -2)) / 2)
+    w_ls = np.linalg.eigvalsh((rho_ls + rho_ls.conj().swapaxes(-1, -2)) / 2)
     bad = (herm > DENSITY_TOL) | (traces > DENSITY_TOL) \
         | (w_ls.min(axis=-1) < -DENSITY_TOL)
     if bad.any():
@@ -86,14 +85,23 @@ def qmi(rho_ls: np.ndarray) -> np.ndarray:
     return s_l + s_s - _entropy_from_eigs(w_ls)
 
 
-def lfs_series(chois: Sequence[np.ndarray]) -> np.ndarray:
+def lfs_series(family: np.ndarray) -> np.ndarray:
     """QMI increments of the reference-system pair along the cumulative maps.
 
-    ``chois[n]`` is the Choi matrix of the cumulative map after n collisions;
-    J/2 realizes the joint state of the untouched reference and the evolved
-    system, starting from the maximally entangled pair at n = 0. Returns
-    delta_i with delta_i[n] = I(n+1) - I(n); ``analysis.summarize`` adds up
-    the increments above its threshold into I_LFS. Raises ValueError when
-    some J/2 is not a density matrix.
+    ``family[n]`` holds (a, b, c, d) of the cumulative map after n
+    collisions. Its Choi matrix over 2, J/2, is the joint state of the
+    untouched reference and the evolved system, the maximally entangled
+    pair at n = 0: the blocks [[a, c], [c*, 1-b]]/2 and [[1-a, d*], [d, b]]/2,
+    with reference marginal I/2 and system marginal diag((a+b)/2, (2-a-b)/2).
+    Returns delta_i with delta_i[n] = I(n+1) - I(n); ``analysis.summarize``
+    adds up the increments above its threshold into I_LFS. Raises ValueError
+    for the first J/2 with an eigenvalue below -``DENSITY_TOL`` or not finite.
     """
-    return np.diff(qmi(np.asarray(chois, dtype=complex) / 2.0))
+    a, b, c, d = family[:, 0].real, family[:, 1].real, family[:, 2], family[:, 3]
+    w = np.concatenate([eigvalsh2(a, 1.0 - b, c), eigvalsh2(1.0 - a, b, d)],
+                       axis=-1) / 2.0
+    bad = ~(w.min(axis=-1) >= -DENSITY_TOL)   # a NaN eigenvalue is bad too
+    if bad.any():
+        raise ValueError(f"state {int(np.argmax(bad))} is not a valid density matrix")
+    marginal = np.stack([a + b, (1.0 - a) + (1.0 - b)], axis=-1) / 2.0
+    return np.diff(1.0 + _entropy_from_eigs(marginal) - _entropy_from_eigs(w))

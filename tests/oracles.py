@@ -1,28 +1,33 @@
 """Per-collision reference code that the tests check the package against.
 
 The package computes every stage as one array pass over a run; these
-functions compute them one collision or one matrix at a time: the
-propagators as Kronecker products of the 2-qubit Hamiltonians, the
-allocating collision loop and the LAPACK Cholesky certificate of its
-drift check, the Pauli-trace Bloch vectors, the adjugate time-local map,
-the defining two-point KDQ expression, the whole-matrix Hermiticity
-deviation, the checked ``eigh`` decomposition, and trace norm, entropy and
-mutual information from ``eigvalsh`` spectra. The ``stacked_*`` functions
-are the package's array builders as they assembled their outputs with
-``np.stack``, which the preallocating ones must match bit for bit.
+functions compute them one collision or one matrix at a time, or by the
+general route the package's closed forms specialize: the propagators as
+Kronecker products of the 2-qubit Hamiltonians, the Gibbs weights as they
+were before their overflow limit, the allocating collision loop and the
+LAPACK Cholesky certificate of its drift check, the Pauli-trace Bloch
+vectors, the 3x3 affine route of the tomography (maps r -> M r + c on
+Bloch vectors, adjugate inverses, 4x4 superoperators and Choi matrices,
+``eigvalsh`` spectra), the defining two-point KDQ expression, the
+whole-matrix Hermiticity deviation, the checked ``eigh`` decomposition, and
+trace norm, entropy and mutual information from ``eigvalsh`` spectra. The
+``stacked_eigvalsh2`` function is ``linalg.eigvalsh2`` as it assembled its
+output with ``np.stack``, which the preallocating one must match bit for
+bit.
 """
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from kdqflux import witnesses
 from kdqflux.linalg import (HERMITICITY_TOL, _require_hermitian,
                             exp_hermitian_generator)
 from kdqflux.model import (ANISOTROPIC, IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z,
                            anisotropic_sm_interaction, heisenberg_interaction,
                            local_hamiltonian, thermal_state)
-from kdqflux.tomography import (AffineBlochMap, SingularMapError, _adjugate3,
-                                _det3)
+from kdqflux.tomography import SingularMapError
 
 # Eigenvalues in [-EIG_CLIP, 0] are treated as exact zeros (round-off from
 # positive-semidefinite matrices); anything below -EIG_CLIP is an error.
@@ -58,6 +63,16 @@ def kron_collision_unitaries(spins, couplings):
         h_free + np.kron(IDENTITY_2, heisenberg_interaction(couplings.g_ma)),
         couplings.tau2)
     return u_sm, u_ma
+
+
+def exp_thermal_state(spec, omega):
+    """Gibbs state exp(-beta H)/Z for H = (omega/2) sigma_z as
+    ``model.thermal_state`` computed it before it took the overflow limit:
+    normalized ``exp`` weights, NaN once the weight of the ground level
+    overflows."""
+    w = np.exp(-spec.beta * np.array([omega / 2.0, -omega / 2.0]))
+    w /= w.sum()
+    return np.diag(w).astype(complex)
 
 
 def _half_step(x, u, u_dag, env):
@@ -116,16 +131,42 @@ def pauli_bloch_history(probes):
     return np.einsum("pij,...ji->...p", pauli, probes).real
 
 
-def stacked_reconstruct_affine(b):
-    """(M, c) of ``tomography.reconstruct_affine`` for a (..., 4, 3) stack of
-    probe Bloch vectors."""
+@dataclass(frozen=True)
+class AffineBlochMap:
+    """Qubit channel as r -> M r + c on Bloch vectors (M real 3x3, c real 3).
+
+    A stack of channels has M of shape (..., 3, 3) and c of shape (..., 3).
+    """
+
+    m: np.ndarray
+    c: np.ndarray
+
+
+def reconstruct_affine(b) -> AffineBlochMap:
+    """Affine maps from a (..., 4, 3) stack of the Bloch vectors of the
+    evolved probes (P0, P1, P+, PR): the shift is the image of the identity,
+    c = (r(P0) + r(P1))/2, and the matrix columns are the images of the
+    Pauli operators, by the combinations that express them in the probes."""
     b0, b1, bp, br = (b[..., i, :] for i in range(4))
     c = (b0 + b1) / 2.0
-    return np.stack([bp - c, br - c, (b0 - b1) / 2.0], axis=-1), c
+    return AffineBlochMap(
+        m=np.stack([bp - c, br - c, (b0 - b1) / 2.0], axis=-1), c=c)
 
 
-def stacked_adjugate3(m):
-    """``tomography._adjugate3`` of a (..., 3, 3) stack."""
+def affine_family(states) -> AffineBlochMap:
+    """Affine cumulative maps of a run from its (n+1, 5, 2, 2) states."""
+    return reconstruct_affine(pauli_bloch_history(states[:, 1:]))
+
+
+def det3(m):
+    """Determinants of a (..., 3, 3) stack by cofactor expansion."""
+    return (m[..., 0, 0] * (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1])
+            - m[..., 0, 1] * (m[..., 1, 0] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 0])
+            + m[..., 0, 2] * (m[..., 1, 0] * m[..., 2, 1] - m[..., 1, 1] * m[..., 2, 0]))
+
+
+def adjugate3(m):
+    """Adjugates of a (..., 3, 3) stack."""
     rows = (
         (m[..., 1, 1] * m[..., 2, 2] - m[..., 1, 2] * m[..., 2, 1],
          m[..., 0, 2] * m[..., 2, 1] - m[..., 0, 1] * m[..., 2, 2],
@@ -140,8 +181,20 @@ def stacked_adjugate3(m):
     return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
 
-def stacked_affine_to_superoperator(m, c):
-    """``tomography.affine_to_superoperator`` of the affine stack (M, c)."""
+def frobenius_condition3(m):
+    """Frobenius condition estimate ||M||_F ||M^-1||_F of a (..., 3, 3)
+    stack, with the inverse taken by adjugate."""
+    return (np.linalg.norm(m, axis=(-2, -1))
+            * np.linalg.norm(adjugate3(m) / det3(m)[..., np.newaxis, np.newaxis],
+                             axis=(-2, -1)))
+
+
+def affine_to_superoperator(bloch_map: AffineBlochMap) -> np.ndarray:
+    """4x4 superoperators on vectorized operators (rho_00, rho_01, rho_10,
+    rho_11) of an affine stack: the columns are the images of the matrix
+    units under Lambda[I] = I + c . sigma, Lambda[sigma_j] = sum_i M_ij
+    sigma_i, each written as (p0 + pz, px - i py, px + i py, p0 - pz)."""
+    m, c = bloch_map.m, bloch_map.c
     p_vecs = ((0.5, (c + m[..., 2]) / 2.0),
               (0.0, (m[..., 0] + 1j * m[..., 1]) / 2.0),
               (0.0, (m[..., 0] - 1j * m[..., 1]) / 2.0),
@@ -150,6 +203,48 @@ def stacked_affine_to_superoperator(m, c):
                       p[..., 0] + 1j * p[..., 1], p0 - p[..., 2]), axis=-1)
             for p0, p in p_vecs]
     return np.stack(cols, axis=-1)
+
+
+# Superoperator entries forced to vanish by phase covariance, as (rows, cols).
+_OFF_ROWS, _OFF_COLS = np.array(
+    ((0, 1), (0, 2), (1, 0), (1, 3), (2, 0), (2, 3), (3, 1), (3, 2))).T
+
+
+def off_pattern_residual(sop):
+    """Largest magnitude among the superoperator entries phase covariance
+    forces to zero, including the imaginary parts of a and b; one value per
+    member of a (..., 4, 4) stack."""
+    return np.maximum(np.abs(sop[..., _OFF_ROWS, _OFF_COLS]).max(axis=-1),
+                      np.maximum(np.abs(sop[..., 0, 0].imag),
+                                 np.abs(sop[..., 0, 3].imag)))
+
+
+def choi(sop):
+    """Choi matrices J = sum_ij |i><j| (x) Lambda[|i><j|] of a (..., 4, 4)
+    superoperator stack, ancilla index first; Tr J = 2 for TP maps."""
+    sop = np.asarray(sop, dtype=complex)
+    units = sop.reshape(sop.shape[:-2] + (2, 2, 2, 2))   # [..., k, l, i, j]
+    return np.einsum("...klij->...ikjl", units).reshape(sop.shape)
+
+
+def pattern_entries(sop):
+    """(a, b, c, d) = (S[0, 0], S[0, 3], S[1, 1], S[1, 2]) of a (..., 4, 4)
+    superoperator stack, as a (..., 4) stack with a, b real."""
+    maps = np.asarray(sop, dtype=complex)[..., (0, 0, 1, 1), (0, 3, 1, 2)]
+    maps[..., :2] = maps[..., :2].real
+    return maps
+
+
+def pattern_superoperator(maps):
+    """The phase covariant superoperators of a (..., 4) stack (a, b, c, d)."""
+    maps = np.asarray(maps, dtype=complex)
+    a, b, c, d = (maps[..., i] for i in range(4))
+    sop = np.zeros(maps.shape[:-1] + (4, 4), dtype=complex)
+    sop[..., 0, 0], sop[..., 0, 3] = a, b
+    sop[..., 3, 0], sop[..., 3, 3] = 1.0 - a, 1.0 - b
+    sop[..., 1, 1], sop[..., 1, 2] = c, d
+    sop[..., 2, 1], sop[..., 2, 2] = d.conj(), c.conj()
+    return sop
 
 
 def time_local_map(family: AffineBlochMap, n: int) -> AffineBlochMap:
@@ -162,10 +257,10 @@ def time_local_map(family: AffineBlochMap, n: int) -> AffineBlochMap:
     condition estimate ||M||_F ||M^-1||_F exceeds 1e8.
     """
     m_prev, m_n = family.m[n - 1], family.m[n]
-    det = float(_det3(m_prev))
+    det = float(det3(m_prev))
     if abs(det) < 1e-12:
         raise SingularMapError(det=det, cond=float("inf"), step=n)
-    m_inv = _adjugate3(m_prev) / det
+    m_inv = adjugate3(m_prev) / det
     cond = float(np.linalg.norm(m_prev) * np.linalg.norm(m_inv))
     if cond > 1e8:
         raise SingularMapError(det=det, cond=cond, step=n)
@@ -194,6 +289,53 @@ def kdq_general(sop: np.ndarray, rho_pre: np.ndarray) -> np.ndarray:
         for i_fin in range(2):
             q[i_in, i_fin] = np.trace(pi[i_fin] @ evolved)
     return q
+
+
+def affine_columns(states, omega_s):
+    """The witness table of a run by the 3x3 affine route, and the
+    SingularMapError that stops it, if any.
+
+    ``states`` are the run's (n+1, 5, 2, 2) system states. Every step map is
+    ``time_local_map`` of the affine family, its superoperator and Choi
+    matrix come from ``affine_to_superoperator`` and ``choi``, the Choi
+    spectra and those of the states J_n / 2 from ``eigvalsh``, ``N_q`` from
+    the superoperator entries, and ``residual`` from the entries outside
+    the phase covariant pattern. Keys are the WitnessRecord field names.
+    """
+    family = affine_family(states)
+    sop_family = affine_to_superoperator(family)
+    delta_i = np.diff(witnesses.qmi(choi(sop_family) / 2.0))
+    sops, error = [], None
+    for n in range(1, len(states)):
+        try:
+            sops.append(affine_to_superoperator(time_local_map(family, n)))
+        except SingularMapError as exc:
+            error = exc
+            break
+    sops = np.array(sops, dtype=complex).reshape(-1, 4, 4)
+    n = len(sops)
+    rho = states[:n, 0]
+    r00, r01, r10, r11 = rho[:, 0, 0], rho[:, 0, 1], rho[:, 1, 0], rho[:, 1, 1]
+    q = [sops[:, 0, 0] * r00 + sops[:, 0, 1] * r01,
+         sops[:, 3, 0] * r00 + sops[:, 3, 1] * r01,
+         sops[:, 0, 2] * r10 + sops[:, 0, 3] * r11,
+         sops[:, 3, 2] * r10 + sops[:, 3, 3] * r11]
+    a, b = sops[:, 0, 0].real, sops[:, 0, 3].real
+    c, d = sops[:, 1, 1], sops[:, 1, 2]
+    p0, p1 = r00.real, r11.real
+    j_mat = choi(sops)
+    w = np.linalg.eigvalsh((j_mat + j_mat.conj().swapaxes(-1, -2)) / 2)
+    columns = {
+        "n": np.arange(1, n + 1), "p0": p0, "p1": p1, "a": a, "b": b,
+        "c": c, "d": d, "residual": off_pattern_residual(sops),
+        "n_q": sum(np.abs(x) for x in q) - 1.0,
+        "g_n": np.abs(w).sum(axis=1) / 2.0 - 1.0,
+        "delta_i": delta_i[:n],
+        "avg_de": omega_s * ((a - 1.0) * p0 + b * p1),
+        "c_abs2_margin": a * (1.0 - b) - np.abs(c) ** 2,
+        "d_abs2_margin": b * (1.0 - a) - np.abs(d) ** 2,
+        "choi_min_eig": w[:, 0]}
+    return columns, error
 
 
 # ----------------------------------------------------------------- linalg

@@ -16,9 +16,9 @@ from kdqflux.cli import load_config, sweep_points
 from kdqflux.engine import RunConfig, evolve_grid
 from kdqflux.model import (ANISOTROPIC, SIGMA_X, SIGMA_Y, SIGMA_Z,
                            CouplingParams, SpinParams, collision_unitaries)
-from kdqflux.tomography import affine_to_superoperator
-from oracles import (hermitian_eig, kdq_general, time_local_map, trace_norm,
-                     von_neumann_entropy)
+from oracles import (affine_family, affine_to_superoperator, hermitian_eig,
+                     kdq_general, pattern_superoperator, time_local_map,
+                     trace_norm, von_neumann_entropy)
 
 TOL_POS = 1e-10
 SWAP_TAU2 = np.pi / (2 * 0.2)
@@ -120,10 +120,9 @@ def test_criterion_02_nonpositivity_implies_non_cp(fig1, detuning_sweep,
 
 def _nonpositivity(a: float, b: float, p0: float) -> float:
     """N_q of the phase covariant step map (a, b) on diag(p0, 1 - p0)."""
-    sop = np.array([[a, 0, 0, b], [0, 0, 0, 0], [0, 0, 0, 0],
-                    [1.0 - a, 0, 0, 1.0 - b]], dtype=complex)
+    step = np.array([[a, b, 0.0, 0.0]], dtype=complex)   # (a, b, c, d)
     rho = np.diag([p0, 1.0 - p0]).astype(complex)
-    columns = _witness_columns(sop[np.newaxis], rho[np.newaxis], np.zeros(1), 1.0)
+    columns = _witness_columns(step, rho[np.newaxis], np.zeros(1), 1.0)
     return float(dict(zip(_FIELDS[1:], columns))["n_q"][0])
 
 
@@ -172,11 +171,12 @@ def test_criterion_05_tomography_oracle_equivalence(fig1):
     states = np.asarray(states)
     history, _ = evolve_grid([fig1.config], states)
     pauli = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
+    sops = pattern_superoperator(fig1.family)
     worst = 0.0
     for i in range(len(states)):
         direct = np.einsum("pij,nji->np", pauli, history[:, 0, i]).real
-        r0 = direct[0]
-        mapped = fig1.family.m @ r0 + fig1.family.c
+        rho_n = (sops @ history[0, 0, i].reshape(4)).reshape(-1, 2, 2)
+        mapped = np.einsum("pij,nji->np", pauli, rho_n).real
         worst = max(worst, float(np.abs(mapped - direct).max()))
     ok = worst <= 1e-9
     report("5", f"20 random states, direct vs reconstructed map: "
@@ -426,9 +426,10 @@ def test_criterion_09b_anisotropy_sweep_local_minimum(anisotropy_sweep):
 
 def _kdq_invariant_deviations(result) -> tuple[float, float, float]:
     worst_total, worst_marginal, worst_route = 0.0, 0.0, 0.0
+    family = affine_family(result.states)
     for rec in result.records:
         n = rec.n
-        sop = affine_to_superoperator(time_local_map(result.family, n))
+        sop = affine_to_superoperator(time_local_map(family, n))
         rho_pre = result.states[n - 1, 0]
         q = kdq_general(sop, rho_pre)
         # the closed form from the record's population entries

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from kdqflux.analysis import TOL_POS, RunSummary, analyze, summarize
+from kdqflux.analysis import (TOL_POS, RunSummary, analyze, analyze_evolved,
+                              evolve_runs, summarize)
 from kdqflux.engine import RunConfig
 from kdqflux.model import ANISOTROPIC, CouplingParams, SpinParams
-from kdqflux.tomography import SingularMapError, affine_to_superoperator, choi
-from kdqflux.witnesses import lfs_series
-from oracles import kdq_general, time_local_map
+from kdqflux.tomography import SingularMapError
+from kdqflux.witnesses import qmi
+from oracles import (affine_family, affine_to_superoperator, choi, kdq_general,
+                     pattern_superoperator, time_local_map)
 
 SWAP_TAU = np.pi / (2 * 0.2)
 
@@ -45,16 +47,18 @@ def test_summary_totals_consistent(fig1_short):
 
 
 def test_delta_i_matches_lfs_series(fig1_short):
-    delta = lfs_series(choi(affine_to_superoperator(fig1_short.family)))
+    # the QMI of the full Choi states J_n / 2 of the run's cumulative maps
+    delta = np.diff(qmi(choi(pattern_superoperator(fig1_short.family)) / 2))
     assert np.allclose(fig1_short.record_array("delta_i"), delta, atol=1e-13)
     i_lfs = delta[delta > fig1_short.summary.tol_pos].sum()
     assert fig1_short.summary.i_lfs == pytest.approx(i_lfs, abs=1e-13)
 
 
 def test_kdq_routes_agree_along_run(fig1_short):
+    family = affine_family(fig1_short.states)
     for n in (1, 25, 40, 77, 120):
         rec = fig1_short.records[n - 1]
-        sop = affine_to_superoperator(time_local_map(fig1_short.family, n))
+        sop = affine_to_superoperator(time_local_map(family, n))
         rho_pre = fig1_short.states[n - 1, 0]
         q = kdq_general(sop, rho_pre)
         closed = [[rec.a * rec.p0, (1 - rec.a) * rec.p0],
@@ -160,5 +164,37 @@ def test_summarize_empty_records():
 
 def test_reconstructed_family_has_identity_at_n0(fig1_short):
     family = fig1_short.family
-    assert np.allclose(family.m[0], np.eye(3), atol=1e-14)
-    assert np.allclose(family.c[0], 0.0, atol=1e-14)
+    assert family.shape == (121, 4)
+    # (a, b, c, d) of the identity channel
+    assert np.allclose(family[0], [1.0, 0.0, 1.0, 0.0], rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("config, cp_rows, measured", [
+    (RunConfig(), 354, 6.97e-14),
+    (RunConfig(couplings=CouplingParams(sm_interaction_kind=ANISOTROPIC,
+                                        gamma=-0.4)), 219, 1.50e-13),
+], ids=["reference", "anisotropic"])
+def test_nq_on_cp_rows_bounds_the_accuracy(config, cp_rows, measured):
+    """On a row whose step map is CP, a and b lie in [0, 1] and the exact
+    N_q is 0, so the largest |N_q| there is the error of the pipeline, with
+    no oracle: the trace drift of the evolved physical state. The bound is
+    the measured value plus a third of it."""
+    cols = analyze(config).columns
+    cp = cols["choi_min_eig"] >= -TOL_POS
+    assert cp.sum() == cp_rows
+    assert np.abs(cols["n_q"][cp]).max() <= measured * (1 + 1 / 3)
+
+
+def test_array_pass_takes_no_eigendecomposition(monkeypatch):
+    # every spectrum of the array pass comes from 2x2 blocks in closed form
+    config = RunConfig(n_max=120, couplings=CouplingParams(
+        sm_interaction_kind=ANISOTROPIC, gamma=-0.4))
+    states, (error,) = evolve_runs([config])
+    want = analyze_evolved(config, states[:, 0], error)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eigendecomposition in the array pass")
+    for name in ("eigvalsh", "eigh", "eigvals", "eig"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    got = analyze_evolved(config, states[:, 0], error)
+    assert got.records == want.records

@@ -148,6 +148,19 @@ def test_run_csv_only_format(tmp_path):
     assert not (out / "summary.json").exists()
 
 
+def test_run_at_an_overflowing_gibbs_weight_is_finite(tmp_path):
+    # beta omega_a / 2 = 750 is past the range of exp: the environment
+    # qubit is in its ground state, and the run goes through
+    out = tmp_path / "cold"
+    code = main(["run", "--set", "beta=1000", "--set", "omega_a=1.5",
+                 "--set", "n_max=5", "--out", str(out), "--quiet"])
+    assert code == 0
+    rows = (out / "collisions.csv").read_text().splitlines()[1:]
+    assert len(rows) == 5
+    assert all(np.isfinite(float(x)) for row in rows for x in row.split(","))
+    assert json.loads((out / "summary.json").read_text())["error"] is None
+
+
 def test_run_singular_flushes_partial_output_and_exits_2(tmp_path):
     out = tmp_path / "partial"
     code = main(["run", "--set", f"tau1={SWAP_TAU}", "--set", "n_max=5",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kdqflux import engine
+from kdqflux import engine, model
 from kdqflux.analysis import TOL_POS
 from kdqflux.engine import (CHECK_BLOCK, DRIFT_TOL, ROUNDING_MARGIN,
                             InvariantDriftError, RunConfig, _check_block,
@@ -10,7 +10,8 @@ from kdqflux.model import (ANISOTROPIC, CouplingParams, SpinParams,
                            ThermalSpec, collision_unitaries, local_hamiltonian,
                            probe_states, thermal_state)
 from kdqflux.tomography import COND_THRESHOLD, SINGULAR_DET
-from oracles import cholesky_certified, joint_history, partial_trace
+from oracles import (cholesky_certified, exp_thermal_state, joint_history,
+                     partial_trace)
 
 I2 = np.eye(2, dtype=complex)
 SWAP_TAU1 = np.pi / (2 * 0.2)   # g_sm * tau1 = pi/2, full S-M swap
@@ -181,9 +182,11 @@ def test_evolve_grid_drifting_point_fails_alone(monkeypatch):
         assert np.array_equal(history[:error.step, p], full[:error.step, p])
 
 
-def test_evolve_grid_non_finite_point_fails_alone():
-    # exp(-beta omega_m / 2) underflows and its partner overflows: the memory
-    # state and every joint state of that point are NaN
+def test_evolve_grid_non_finite_point_fails_alone(monkeypatch):
+    # with the Gibbs weights normalized as plain exp values, exp(-beta
+    # omega_m / 2) underflows and its partner overflows: the memory state and
+    # every joint state of that point are NaN
+    monkeypatch.setattr(model, "thermal_state", exp_thermal_state)
     states = np.stack(probe_states())
     overflow = RunConfig(spins=SpinParams(omega_m=1e300), n_max=GRID_N_MAX)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -11,7 +11,8 @@ from kdqflux.model import (ANISOTROPIC, IDENTITY_2, ISOTROPIC, SIGMA_X,
                            local_hamiltonian, maximally_entangled_state,
                            probe_states, thermal_state)
 from kdqflux.witnesses import qmi
-from oracles import kron_collision_unitaries, partial_trace, same_bits
+from oracles import (exp_thermal_state, kron_collision_unitaries,
+                     partial_trace, same_bits)
 
 
 def comm(a, b):
@@ -187,6 +188,30 @@ def test_thermal_state_coherences_are_exact_zeros():
             for beta in betas:
                 rho = thermal_state(ThermalSpec(beta=beta), omega)
                 assert rho[0, 1] == 0.0 and rho[1, 0] == 0.0, (omega, beta)
+
+
+def test_thermal_state_keeps_the_exp_weights_and_takes_the_overflow_limit():
+    """Bit for bit the normalized exp weights wherever they are finite; once
+    the weight of the ground level overflows, the pure ground state, the
+    exact limit of the normalized weights."""
+    omegas = np.concatenate([
+        [1.0, 1.5, 1e-300, 1e300, 2 * 709.78 / 1e3, 2 * 709.79 / 1e3],
+        10.0 ** np.linspace(-3, 3, 31)])
+    betas = np.concatenate([[0.0, 1.0, 3.0, 1e3], 10.0 ** np.linspace(-4, 3, 29)])
+    finite = limit = 0
+    for omega in np.concatenate([omegas, -omegas]):
+        for beta in betas:
+            got = thermal_state(ThermalSpec(beta=beta), omega)
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = exp_thermal_state(ThermalSpec(beta=beta), omega)
+            if np.isfinite(want).all():
+                assert same_bits(got, want), (beta, omega)
+                finite += 1
+            else:
+                ground = [0.0, 1.0] if omega > 0 else [1.0, 0.0]
+                assert same_bits(got, np.diag(ground).astype(complex)), (beta, omega)
+                limit += 1
+    assert finite > 2000 and limit > 200
 
 
 def test_thermal_validation():

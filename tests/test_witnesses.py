@@ -3,9 +3,14 @@ import pytest
 
 from kdqflux.analysis import _FIELDS, _witness_columns, summarize
 from kdqflux.model import maximally_entangled_state, thermal_state, ThermalSpec
-from kdqflux.tomography import AffineBlochMap, affine_to_superoperator, choi
 from kdqflux.witnesses import lfs_series, qmi
-from oracles import apply_superoperator, kdq_general, trace_norm
+import oracles
+from oracles import (AffineBlochMap, affine_to_superoperator,
+                     apply_superoperator, choi, kdq_general, pattern_entries,
+                     trace_norm)
+
+# (a, b, c, d) of the identity channel
+IDENTITY = np.array([1.0, 0.0, 1.0, 0.0], dtype=complex)
 
 
 def pattern_sop(a: float, b: float, c: complex = 0.3, d: complex = 0.0) -> np.ndarray:
@@ -15,12 +20,13 @@ def pattern_sop(a: float, b: float, c: complex = 0.3, d: complex = 0.0) -> np.nd
 
 
 def witness_rows(sops, rho_pre, omega_s: float = 1.0) -> dict:
-    """``_witness_columns`` of step maps acting on states, by field name."""
-    sops = np.asarray(sops, dtype=complex).reshape(-1, 4, 4)
+    """``_witness_columns`` of the pattern entries (a, b, c, d) of step-map
+    superoperators acting on states, by field name."""
+    steps = pattern_entries(np.asarray(sops, dtype=complex).reshape(-1, 4, 4))
     rho_pre = np.broadcast_to(np.asarray(rho_pre, dtype=complex),
-                              (len(sops), 2, 2))
+                              (len(steps), 2, 2))
     return dict(zip(_FIELDS[1:], _witness_columns(
-        sops, rho_pre, np.zeros(len(sops)), omega_s)))
+        steps, rho_pre, np.zeros(len(steps)), omega_s)))
 
 
 def diag_state(p0: float) -> np.ndarray:
@@ -248,9 +254,32 @@ def test_qmi_full_swap_channel_is_product():
     assert qmi(j / 2) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_qmi_is_exact_on_states_with_cross_block_entries():
+    """qmi takes general two-qubit states: random mixed states, whose
+    entries between the (0, 3) and (1, 2) blocks are of the order of the
+    others, and reference-system states of a channel that is not phase
+    covariant (amplitude damping along x), against the eigvalsh entropies
+    of tests/oracles.py."""
+    rng = np.random.default_rng(5)
+    g = rng.normal(size=(30, 4, 4)) + 1j * rng.normal(size=(30, 4, 4))
+    states = g @ g.conj().swapaxes(-1, -2)
+    states /= np.trace(states, axis1=-2, axis2=-1)[:, np.newaxis, np.newaxis]
+    k0 = np.array([[1, 0], [0, np.sqrt(0.6)]])
+    k1 = np.array([[0, np.sqrt(0.4)], [0, 0]])
+    h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    damped = sum(np.kron(np.eye(2), k) @ maximally_entangled_state()
+                 @ np.kron(np.eye(2), k).conj().T
+                 for k in (h @ k0 @ h, h @ k1 @ h))
+    states = np.concatenate([states, damped[np.newaxis]])
+    cross = np.abs(states[:, (0, 0, 3, 3), (1, 2, 1, 2)]).max(axis=-1)
+    assert cross.min() > 1e-2
+    want = np.array([oracles.qmi(rho) for rho in states])
+    assert np.abs(qmi(states) - want).max() <= 1e-14
+    assert qmi(states[-1]) == pytest.approx(want[-1], abs=1e-14)
+
+
 def test_lfs_series_identity_family_is_flat():
-    j_id = choi(np.eye(4, dtype=complex))
-    delta = lfs_series([j_id] * 6)
+    delta = lfs_series(np.stack([IDENTITY] * 6))
     assert delta.shape == (5,)
     assert np.max(np.abs(delta)) <= 1e-12
 
@@ -258,21 +287,38 @@ def test_lfs_series_identity_family_is_flat():
 def test_lfs_series_starts_at_two_bits():
     j_id = choi(np.eye(4, dtype=complex))
     assert qmi(j_id / 2) == pytest.approx(2.0, abs=1e-12)
+    # the first increment of a thermalizing channel is its whole QMI drop
+    thermalizing = pattern_entries(affine_to_superoperator(
+        AffineBlochMap(m=np.zeros((3, 3)), c=np.array([0, 0, -np.tanh(0.5)]))))
+    assert lfs_series(np.stack([IDENTITY, thermalizing]))[0] == pytest.approx(
+        -2.0, abs=1e-12)
 
 
 def test_lfs_series_rejects_unphysical_states():
-    j_bad = np.diag([1.3, -0.3, 0.0, 1.0]).astype(complex)
+    # J/2 = diag(1.3, -0.3, 0, 1)/2: a = 1.3, b = 0
+    bad = np.array([1.3, 0.0, 0.0, 0.0], dtype=complex)
     with pytest.raises(ValueError, match="state 1 "):
-        lfs_series([choi(np.eye(4, dtype=complex)), j_bad])
+        lfs_series(np.stack([IDENTITY, bad]))
+    with pytest.raises(ValueError, match="state 2 "):
+        lfs_series(np.stack([IDENTITY, IDENTITY, [np.nan, 0, 1, 0]]))
+
+
+def test_lfs_series_matches_qmi_of_the_choi_states():
+    rng = np.random.default_rng(29)
+    family = np.stack([pattern_entries(affine_to_superoperator(AffineBlochMap(
+        m=np.diag([r, r, r ** 2]), c=np.array([0, 0, z]))))
+        for r, z in zip(rng.uniform(0, 0.9, 40), rng.uniform(-0.1, 0.1, 40))])
+    family[:, 3] = 0.1 * family[:, 2] * np.exp(2j * np.pi * rng.random(40))
+    chois = choi(oracles.pattern_superoperator(family))
+    want = np.diff([oracles.qmi(j / 2) for j in chois])
+    assert np.abs(lfs_series(family) - want).max() <= 1e-14
 
 
 def test_lfs_series_counts_positive_increments_only():
-    thermalizing = choi(affine_to_superoperator(
-        AffineBlochMap(m=np.zeros((3, 3)), c=np.array([0, 0, -np.tanh(0.5)]))))
-    partial = choi(affine_to_superoperator(
-        AffineBlochMap(m=np.diag([0.7, 0.7, 0.7]), c=np.array([0, 0, -0.2]))))
-    identity = choi(np.eye(4, dtype=complex))
-    delta = lfs_series([identity, partial, thermalizing, partial])
+    thermalizing, partial = (pattern_entries(affine_to_superoperator(
+        AffineBlochMap(m=m, c=np.array([0, 0, z]))))
+        for m, z in ((np.zeros((3, 3)), -np.tanh(0.5)), (np.diag([0.7, 0.7, 0.7]), -0.2)))
+    delta = lfs_series(np.stack([IDENTITY, partial, thermalizing, partial]))
     assert delta[0] < 0 and delta[1] < 0 and delta[2] > 0
     columns = dict.fromkeys(_FIELDS, np.zeros(3))
     columns.update(n=np.arange(1, 4), delta_i=delta)
