@@ -4,8 +4,9 @@ A system qubit S exchanges energy with a memory qubit M, which in turn
 collides with a fresh thermal environment qubit A each time step. This demo
 assembles the ingredients one by one: local Hamiltonians, the Heisenberg
 exchange interaction, thermal states, the two collision propagators, the
-probe states used for process tomography, and the four numbers (a, b, c, d)
-that tomography reads off them for every map of the model.
+probe states used for process tomography, the four numbers (a, b, c, d)
+that tomography reads off the evolved probes for every map of the model, and
+the Choi spectrum that the witnesses take from them.
 """
 
 import numpy as np
@@ -14,9 +15,9 @@ from kdqflux import (CouplingParams, RunConfig, SpinParams, ThermalSpec,
                      collision_unitaries, heisenberg_interaction,
                      local_hamiltonian, maximally_entangled_state,
                      phase_covariant_maps, probe_states, qmi, thermal_state)
-from kdqflux.analysis import evolve_runs, probe_bloch_history
+from kdqflux.analysis import evolve_runs
 from kdqflux.model import IDENTITY_2, SIGMA_Z
-from kdqflux.tomography import bloch_vector
+from kdqflux.tomography import bloch_vector, choi_eigenvalues
 
 np.set_printoptions(precision=4, suppress=True, linewidth=100)
 
@@ -59,8 +60,10 @@ print("\n=== the four numbers of a map ===")
 # every Hamiltonian term conserves excitation parity and the memory and
 # environment states are diagonal, so every reduced map is phase covariant:
 # rho_00 -> a rho_00 + b rho_11 and rho_01 -> c rho_01 + d rho_10
+# tomography reads them straight off the four evolved probe states
 states, _ = evolve_runs([RunConfig(couplings=swap_couplings, n_max=1)])
-a, b, c, d = phase_covariant_maps(probe_bloch_history(states[1, 0, 1:]))
+swap = phase_covariant_maps(states[1, 0, 1:])
+a, b, c, d = swap
 print(f"one full swap: a = {a.real:.4f}, b = {b.real:.4f}, "
       f"|c| = {abs(c):.1e}, |d| = {abs(d):.1e}")
 print("a = b = excited population of the thermal memory, %.4f: the system "
@@ -68,6 +71,7 @@ print("a = b = excited population of the thermal memory, %.4f: the system "
 print("Choi blocks [[a, c], [c*, 1-b]] and [[1-a, d*], [d, b]]: "
       "CP margins %.4f and %.4f"
       % ((a * (1 - b) - abs(c) ** 2).real, (b * (1 - a) - abs(d) ** 2).real))
+print("Choi eigenvalues, block by block:", choi_eigenvalues(swap))
 
 print("\n=== maximally entangled reference pair ===")
 bell = maximally_entangled_state()

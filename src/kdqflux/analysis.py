@@ -4,13 +4,13 @@ Pipeline: evolve the physical state and the four tomography probes together,
 collision by collision, for one configuration or a whole grid of them
 (``evolve_runs``); then analyze each configuration's collisions in one array
 pass (``analyze_evolved``); ``analyze`` composes the two for one run. The
-pass reads the four numbers (a, b, c, d) of every cumulative map off the
-probe Bloch vectors, finds the first singular predecessor and composes the
-step maps in closed form (``tomography``); g_n and the minimum Choi
-eigenvalue come from the 2x2 Choi blocks of each step map, delta_i from
-those of the cumulative maps (``witnesses.lfs_series``). Record n describes
-collision n (the step from state n-1 to state n); its ``delta_i`` is the QMI
-change realized by that collision.
+pass only orchestrates: ``tomography`` reads the four numbers (a, b, c, d)
+of every cumulative map off the probe states, finds the first singular
+predecessor and composes the step maps; ``witnesses`` takes delta_i from
+the cumulative maps and every other witness column from the step maps;
+``summarize`` reduces the table. Record n describes collision n (the step
+from state n-1 to state n); its ``delta_i`` is the QMI change realized by
+that collision.
 """
 
 import time
@@ -21,7 +21,6 @@ import numpy as np
 
 from . import engine, tomography, witnesses
 from .engine import RunConfig
-from .linalg import eigvalsh2
 from .model import probe_states
 from .witnesses import WitnessRecord
 
@@ -80,50 +79,6 @@ class RunResult:
         return self.columns[name]
 
 
-_FIELDS = [f.name for f in fields(WitnessRecord)]
-
-
-def probe_bloch_history(probes: np.ndarray) -> np.ndarray:
-    """Bloch vectors Tr(sigma rho) of the (n+1, 4, 2, 2) probe states, shape
-    (n+1, 4, 3)."""
-    re, im = probes.real, probes.imag
-    bloch = np.stack([re[..., 0, 1] + re[..., 1, 0],
-                      im[..., 1, 0] - im[..., 0, 1],
-                      re[..., 0, 0] - re[..., 1, 1]], axis=-1)
-    # the trace with a Pauli matrix, summed from +0, gives +0 for an exact
-    # zero; adding 0.0 does the same here
-    bloch += 0.0
-    return bloch
-
-
-def _witness_columns(steps: np.ndarray, rho_pre: np.ndarray,
-                     delta_i: np.ndarray, omega_s: float) -> list[np.ndarray]:
-    """Per-collision witness values of a stack of step maps, as arrays.
-
-    ``steps`` is the (n, 4) stack of (a, b, c, d) of the step maps,
-    ``rho_pre`` the (n, 2, 2) states they act on and ``delta_i`` the n QMI
-    increments; the columns follow WitnessRecord after ``n``. The KDQ values
-    q[in, fin] = Tr[Pi_fin Lambda[Pi_in rho]] in the computational (energy)
-    basis are a p0, (1-a) p0, b p1 and (1-b) p1; ``residual`` is 0.
-    """
-    a, b, c, d = steps[:, 0].real, steps[:, 1].real, steps[:, 2], steps[:, 3]
-    p0, p1 = rho_pre[:, 0, 0].real, rho_pre[:, 1, 1].real
-    c_margin = a * (1.0 - b) - np.abs(c) ** 2
-    d_margin = b * (1.0 - a) - np.abs(d) ** 2
-    # the Choi blocks [[a, c], [c*, 1-b]] and [[1-a, d*], [d, b]] have the
-    # CP margins as determinants
-    w = np.concatenate([eigvalsh2(a, 1.0 - b, c, c_margin),
-                        eigvalsh2(1.0 - a, b, d, d_margin)], axis=-1)
-    return [p0, p1, a, b, c, d, np.zeros(len(a)),
-            np.abs(a * p0) + np.abs((1.0 - a) * p0)
-            + np.abs(b * p1) + np.abs((1.0 - b) * p1) - 1.0,            # N_q
-            np.abs(w).sum(axis=1) / 2.0 - 1.0,                          # g_n
-            delta_i,
-            omega_s * ((a - 1.0) * p0 + b * p1),                        # <dE>
-            c_margin, d_margin,
-            w.min(axis=1)]                                    # min Choi eigenvalue
-
-
 def evolve_runs(configs) -> tuple[np.ndarray,
                                   list[engine.InvariantDriftError | None]]:
     """Evolve the physical state and the four probes of every configuration.
@@ -156,14 +111,14 @@ def analyze_evolved(config: RunConfig, states: np.ndarray,
         t_start = time.perf_counter()
     if error is not None:
         states = states[:error.step]
-    family = tomography.phase_covariant_maps(probe_bloch_history(states[:, 1:]))
+    family = tomography.phase_covariant_maps(states[:, 1:])
     delta_i = witnesses.lfs_series(family)
     steps, singular = tomography.time_local_family(family)
     if singular is not None:
         error = singular
     n = len(steps)
-    columns = dict(zip(_FIELDS, [np.arange(1, n + 1), *_witness_columns(
-        steps, states[:n, 0], delta_i[:n], config.spins.omega_s)]))
+    columns = witnesses.witness_columns(steps, states[:n, 0], delta_i[:n],
+                                        config.spins.omega_s)
     result = RunResult(
         config=config, states=states, family=family, columns=columns,
         summary=summarize(columns, n_max=config.n_max),
@@ -188,19 +143,19 @@ def analyze(config: RunConfig) -> RunResult:
     return analyze_evolved(config, states[:, 0], error, t_start)
 
 
-def summarize(columns, n_max: int, tol_pos: float = TOL_POS) -> RunSummary:
+def summarize(columns, n_max: int) -> RunSummary:
     """Reduce a witness table to run-level measures and indices.
 
     ``columns`` is a table like ``RunResult.columns``; an empty one means no
     collisions. I_RHP, I_LFS and sum N_q all add up the values that exceed
-    ``tol_pos``, so round-off increments of a CP-divisible run count as zero
+    ``TOL_POS``, so round-off increments of a CP-divisible run count as zero
     in all three. The maxima are taken with Python's ``max`` and ``abs``.
     """
-    columns = dict(columns) or dict.fromkeys(_FIELDS, np.empty(0))
+    columns = dict(columns) or {f.name: np.empty(0) for f in fields(WitnessRecord)}
     nq, g, delta_i, steps = (columns[k] for k in ("n_q", "g_n", "delta_i", "n"))
 
     def first_last(values):
-        idx = steps[values > tol_pos]
+        idx = steps[values > TOL_POS]
         if idx.size == 0:
             return None, None
         return int(idx[0]), int(idx[-1])
@@ -209,13 +164,13 @@ def summarize(columns, n_max: int, tol_pos: float = TOL_POS) -> RunSummary:
     first_g, last_g = first_last(g)
     return RunSummary(
         n_max=n_max,
-        i_rhp=float(g[g > tol_pos].sum()),
-        i_lfs=float(delta_i[delta_i > tol_pos].sum()),
-        sum_nq=float(nq[nq > tol_pos].sum()),
+        i_rhp=float(g[g > TOL_POS].sum()),
+        i_lfs=float(delta_i[delta_i > TOL_POS].sum()),
+        sum_nq=float(nq[nq > TOL_POS].sum()),
         first_nq_positive=first_nq, last_nq_positive=last_nq,
         first_g_positive=first_g, last_g_positive=last_g,
         implication_violations=int(np.sum(
-            (nq > tol_pos) & (columns["choi_min_eig"] >= -tol_pos))),
+            (nq > TOL_POS) & (columns["choi_min_eig"] >= -TOL_POS))),
         max_off_pattern_residual=max(columns["residual"].tolist(), default=0.0),
         max_abs_d=max(map(abs, columns["d"].tolist()), default=0.0),
-        tol_pos=tol_pos)
+        tol_pos=TOL_POS)

@@ -47,18 +47,17 @@ COLLISION_HEADER = ("n,p0,p1,a,b,c_re,c_im,d_re,d_im,N_q,g_n,delta_I,"
 SWEEP_HEADER = "grid_value,i_rhp,i_lfs,sum_nq,error"
 _COLLISION_ROW = "%d," + ",".join(["%.17g"] * 14) + "\n"   # "%.17g" is _fmt
 
-_FLOAT_KEYS = ("omega_s", "omega_m", "omega_a", "g_sm", "g_ma", "tau1", "tau2",
-               "beta", "gamma", "grid_min", "grid_max", "aniso_strength")
-_INT_KEYS = ("n_max", "grid_points")
-_STR_KEYS = ("kind", "output_dir", "formats", "sm_kind")
-
-_DEFAULTS = {
-    "omega_s": 1.0, "omega_m": 1.0, "omega_a": 1.0,
-    "g_sm": 0.2, "g_ma": 0.2, "tau1": 0.2, "tau2": 0.2,
-    "beta": 1.0, "gamma": 0.0, "n_max": 1000,
-    "kind": SINGLE_RUN, "grid_min": None, "grid_max": None, "grid_points": 101,
-    "output_dir": None, "formats": "csv,json",
-    "sm_kind": ISOTROPIC, "aniso_strength": None,
+# Every configuration key with its type and default; the defaults are the
+# resonant reference run, and None leaves a key unset.
+_KEYS = {
+    "omega_s": (float, 1.0), "omega_m": (float, 1.0), "omega_a": (float, 1.0),
+    "g_sm": (float, 0.2), "g_ma": (float, 0.2),
+    "tau1": (float, 0.2), "tau2": (float, 0.2),
+    "beta": (float, 1.0), "gamma": (float, 0.0), "n_max": (int, 1000),
+    "kind": (str, SINGLE_RUN), "grid_min": (float, None),
+    "grid_max": (float, None), "grid_points": (int, 101),
+    "output_dir": (str, None), "formats": (str, "csv,json"),
+    "sm_kind": (str, ISOTROPIC), "aniso_strength": (float, None),
 }
 
 _GRID_BOUNDS = {DETUNING_SWEEP: (-0.5, 0.5), ANISOTROPY_SWEEP: (-1.0, 1.0)}
@@ -100,22 +99,19 @@ def _parse_value(key: str, raw: str):
     raw = raw.strip()
     if not raw:
         raise MissingKeyError(key)
-    if key in _FLOAT_KEYS:
-        try:
-            value = float(raw)
-        except ValueError:
-            raise InvalidValueError(key, f"{raw!r} is not a number") from None
-        if not np.isfinite(value):
-            raise InvalidValueError(key, "must be finite")
-        return value
-    if key in _INT_KEYS:
-        try:
-            return int(raw)
-        except ValueError:
-            raise InvalidValueError(key, f"{raw!r} is not an integer") from None
-    if key in _STR_KEYS:
+    if key not in _KEYS:
+        raise InvalidValueError(key, "unknown key")
+    kind = _KEYS[key][0]
+    if kind is str:
         return raw
-    raise InvalidValueError(key, "unknown key")
+    try:
+        value = kind(raw)
+    except ValueError:
+        noun = "a number" if kind is float else "an integer"
+        raise InvalidValueError(key, f"{raw!r} is not {noun}") from None
+    if kind is float and not np.isfinite(value):
+        raise InvalidValueError(key, "must be finite")
+    return value
 
 
 def _read_config_file(path) -> dict:
@@ -150,7 +146,7 @@ def parse_overrides(pairs) -> dict:
 
 
 def _validate(values: dict) -> dict:
-    v = dict(_DEFAULTS)
+    v = {key: default for key, (_, default) in _KEYS.items()}
     v.update(values)
     if v["kind"] not in _KINDS:
         raise InvalidValueError("kind", f"must be one of {_KINDS}")

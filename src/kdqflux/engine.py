@@ -53,6 +53,10 @@ class RunConfig:
         if n_max < 0:
             raise ValueError("n_max must be >= 0")
         object.__setattr__(self, "n_max", n_max)
+        scale = model.phase_error_bound(self.spins, self.couplings)
+        if scale > DRIFT_TOL:
+            raise ValueError(f"Hamiltonian too large for double precision: "
+                             f"eps |H| tau = {scale:.2e} > {DRIFT_TOL:g}")
         rho = np.asarray(self.initial_system, dtype=complex)
         if rho.shape != (2, 2):
             raise ValueError("initial_system must be a 2x2 density matrix")

@@ -148,6 +148,24 @@ _HEISENBERG_SM = _constant(np.kron(_XX + _YY + _ZZ, IDENTITY_2))
 _HEISENBERG_MA = _constant(np.kron(IDENTITY_2, _XX + _YY + _ZZ))
 
 
+def _aniso_strength(couplings: CouplingParams) -> float:
+    s = couplings.aniso_strength
+    return couplings.g_sm / 2.0 if s is None else s
+
+
+def phase_error_bound(spins: SpinParams, couplings: CouplingParams) -> float:
+    """eps B tau, the larger over the propagators exp(-i H tau) of
+    ``collision_unitaries``: their phase error, as ``eigh`` resolves H only to
+    about eps ||H||, and B, the sum of H's absolute Pauli coefficients, bounds ||H||."""
+    free = (abs(spins.omega_s) + abs(spins.omega_m) + abs(spins.omega_a)) / 2.0
+    sm = 1.5 * abs(couplings.g_sm)
+    if couplings.sm_interaction_kind == ANISOTROPIC:
+        # |1 - gamma|/2 + |1 + gamma|/2 + 1 = 2 for gamma in [-1, 1]
+        sm = 2.0 * abs(_aniso_strength(couplings))
+    return np.finfo(float).eps * max((free + sm) * couplings.tau1,
+                                     (free + 1.5 * abs(couplings.g_ma)) * couplings.tau2)
+
+
 def collision_unitaries(spins: SpinParams,
                         couplings: CouplingParams) -> tuple[np.ndarray, np.ndarray]:
     """The two 8x8 propagators of a collision step, on S (x) M (x) A.
@@ -160,9 +178,7 @@ def collision_unitaries(spins: SpinParams,
     h_free = (spins.omega_s / 2.0 * _ZII + spins.omega_m / 2.0 * _IZI
               + spins.omega_a / 2.0 * _IIZ)
     if couplings.sm_interaction_kind == ANISOTROPIC:
-        strength = couplings.aniso_strength
-        if strength is None:
-            strength = couplings.g_sm / 2.0
+        strength = _aniso_strength(couplings)
         gamma = couplings.gamma
         h_sm = strength * ((1.0 - gamma) / 2.0 * _XXI + (1.0 + gamma) / 2.0 * _YYI
                            + _ZZI)

@@ -4,17 +4,18 @@ Every Hamiltonian term of the model conserves excitation parity, and the
 memory and environment states are diagonal, so every reduced map is phase
 covariant: in the matrix-element basis (rho_00, rho_01, rho_10, rho_11) its
 superoperator is [[a, 0, 0, b], [0, c, d, 0], [0, d*, c*, 0],
-[1-a, 0, 0, 1-b]], with a, b real. A map is kept as those four numbers; a
-stack of maps is a (..., 4) complex array with the columns (a, b, c, d).
-On Bloch vectors a map takes z to m z + s, with m = a - b and
-s = a + b - 1, and the coherences (rho_01, rho_10) through
-K = [[c, d], [d*, c*]]; inverses and compositions follow in closed form for
-a whole stack at once. Its Choi matrix consists of the blocks
-[[a, c], [c*, 1-b]] and [[1-a, d*], [d, b]].
+[1-a, 0, 0, 1-b]], with a, b real. This module owns that format: a map is
+those four numbers, read off the evolved probe states, and a stack of maps
+is a (..., 4) complex array with the columns (a, b, c, d). On Bloch vectors
+a map takes z to m z + s, with m = a - b and s = a + b - 1, and the
+coherences (rho_01, rho_10) through K = [[c, d], [d*, c*]]; inverses and
+compositions follow in closed form for a whole stack at once. Its Choi
+matrix consists of the blocks [[a, c], [c*, 1-b]] and [[1-a, d*], [d, b]].
 """
 
 import numpy as np
 
+from .linalg import eigvalsh2
 from .model import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 _PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
@@ -49,32 +50,44 @@ def density_from_bloch(r: np.ndarray) -> np.ndarray:
     return 0.5 * (IDENTITY_2 + r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z)
 
 
-def phase_covariant_maps(probe_blochs: np.ndarray) -> np.ndarray:
-    """(a, b, c, d) of the maps that take the probes to ``probe_blochs``.
+def phase_covariant_maps(probes: np.ndarray) -> np.ndarray:
+    """(a, b, c, d) of the maps that take (P0, P1, P+, PR) to ``probes``.
 
-    ``probe_blochs`` holds the images of (P0, P1, P+, PR) as Bloch vectors,
-    shape (..., 4, 3); the result has shape (..., 4):
-
-        a = (1 + z(P0))/2,  b = (1 + z(P1))/2,
-        c = (x(P+) + y(PR) + i(x(PR) - y(P+)))/2,
-        d = (x(P+) - y(PR) - i(x(PR) + y(P+)))/2.
-
-    The entries that phase covariance fixes (z of P+ and PR, x and y of P0
-    and P1) are not read. Raises ValueError for a non-finite entry.
+    ``probes`` holds the image states, shape (..., 4, 2, 2); the result has
+    shape (..., 4): a = (1 + z(P0))/2, b = (1 + z(P1))/2,
+    c = (x(P+) + y(PR) + i(x(PR) - y(P+)))/2 and
+    d = (x(P+) - y(PR) - i(x(PR) + y(P+)))/2, with the Bloch components
+    x = 2 Re rho_01, y = 2 Im rho_10, z = rho_00 - rho_11 formed as
+    Tr(sigma rho) gives them. The entries that phase covariance fixes are
+    not read. Raises ValueError if an entry read, or a map, is not finite.
     """
-    r = np.asarray(probe_blochs, dtype=float)
-    if r.shape[-2:] != (4, 3):
-        raise ValueError("expected four Bloch vectors as a (..., 4, 3) array")
-    if not np.isfinite(r).all():
-        raise ValueError("probe Bloch vectors must be finite")
-    x_plus, y_plus, x_r, y_r = (r[..., 2, 0], r[..., 2, 1], r[..., 3, 0],
-                                r[..., 3, 1])
-    maps = np.zeros(r.shape[:-1], dtype=complex)
+    p = np.asarray(probes)
+    if p.shape[-3:] != (4, 2, 2):
+        raise ValueError("expected four probe states as a (..., 4, 2, 2) array")
+    pr, pi = p.real, p.imag
+    # x and y of P+ and PR; a Pauli trace, summed from +0, gives +0 for an
+    # exact zero, and so does adding 0.0, so c and d never read -0
+    x = pr[..., 2:, 0, 1] + pr[..., 2:, 1, 0] + 0.0
+    y = pi[..., 2:, 1, 0] - pi[..., 2:, 0, 1] + 0.0
+    x_plus, x_r, y_plus, y_r = x[..., 0], x[..., 1], y[..., 0], y[..., 1]
+    maps = np.zeros(p.shape[:-2], dtype=complex)
     re, im = maps.real, maps.imag
-    re[..., 0], re[..., 1] = (1.0 + r[..., 0, 2]) / 2.0, (1.0 + r[..., 1, 2]) / 2.0
+    re[..., :2] = (1.0 + (pr[..., :2, 0, 0] - pr[..., :2, 1, 1])) / 2.0
     re[..., 2], im[..., 2] = (x_plus + y_r) / 2.0, (x_r - y_plus) / 2.0
     re[..., 3], im[..., 3] = (x_plus - y_r) / 2.0, -(x_r + y_plus) / 2.0
+    if not np.isfinite(maps).all():
+        raise ValueError("probe states must give finite maps")
     return maps
+
+
+def choi_eigenvalues(maps: np.ndarray) -> np.ndarray:
+    """Eigenvalues (..., 4) of the Choi matrices of a (..., 4) stack of maps:
+    those of the blocks [[a, c], [c*, 1-b]] and [[1-a, d*], [d, b]], by
+    ``linalg.eigvalsh2``, whose small roots carry the signs of the block
+    determinants, the CP margins."""
+    a, b = maps[..., 0].real, maps[..., 1].real
+    return np.concatenate([eigvalsh2(a, 1.0 - b, maps[..., 2]),
+                           eigvalsh2(1.0 - a, b, maps[..., 3])], axis=-1)
 
 
 def det_and_condition(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -15,9 +15,9 @@ N_q > 0 requires a population-sector entry of the single-step map to leave
 [0, 1], which forces a negative Choi eigenvalue: non-positivity of the
 energy-change distribution witnesses a CP-divisibility violation.
 
-``analysis._witness_columns`` evaluates the per-collision values as array
-expressions over a whole run; this module holds the record they fill and the
-mutual-information series.
+``witness_columns`` takes every column of a run's witness table from its
+step maps, ``lfs_series`` delta_i from its cumulative maps, both as array
+expressions over (a, b, c, d) stacks (``tomography``).
 """
 
 from dataclasses import dataclass
@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import eigvalsh2, hermiticity_deviation
+from .tomography import choi_eigenvalues
 
 # A state passed to qmi whose Hermiticity or trace error, or negative
 # eigenvalue, exceeds this is not a density matrix.
@@ -50,6 +51,27 @@ class WitnessRecord:
     c_abs2_margin: float
     d_abs2_margin: float
     choi_min_eig: float
+
+
+def witness_columns(steps: np.ndarray, rho_pre: np.ndarray,
+                    delta_i: np.ndarray, omega_s: float) -> dict[str, np.ndarray]:
+    """One array per WitnessRecord field, in its order, for the (n, 4) step
+    maps (a, b, c, d) of collisions 1..n on the (n, 2, 2) states ``rho_pre``
+    and the n QMI increments ``delta_i``. The KDQ values
+    q[in, fin] = Tr[Pi_fin Lambda[Pi_in rho]] in the energy basis are
+    a p0, (1-a) p0, b p1 and (1-b) p1; ``residual`` is 0."""
+    a, b, c, d = steps[:, 0].real, steps[:, 1].real, steps[:, 2], steps[:, 3]
+    p0, p1 = rho_pre[:, 0, 0].real, rho_pre[:, 1, 1].real
+    w = choi_eigenvalues(steps)
+    return {"n": np.arange(1, len(a) + 1), "p0": p0, "p1": p1, "a": a, "b": b,
+            "c": c, "d": d, "residual": np.zeros(len(a)),
+            "n_q": np.abs(a * p0) + np.abs((1.0 - a) * p0)
+            + np.abs(b * p1) + np.abs((1.0 - b) * p1) - 1.0,
+            "g_n": np.abs(w).sum(axis=-1) / 2.0 - 1.0, "delta_i": delta_i,
+            "avg_de": omega_s * ((a - 1.0) * p0 + b * p1),
+            "c_abs2_margin": a * (1.0 - b) - np.abs(c) ** 2,
+            "d_abs2_margin": b * (1.0 - a) - np.abs(d) ** 2,
+            "choi_min_eig": w.min(axis=-1)}
 
 
 def _entropy_from_eigs(w: np.ndarray) -> np.ndarray:
@@ -91,17 +113,16 @@ def lfs_series(family: np.ndarray) -> np.ndarray:
     ``family[n]`` holds (a, b, c, d) of the cumulative map after n
     collisions. Its Choi matrix over 2, J/2, is the joint state of the
     untouched reference and the evolved system, the maximally entangled
-    pair at n = 0: the blocks [[a, c], [c*, 1-b]]/2 and [[1-a, d*], [d, b]]/2,
-    with reference marginal I/2 and system marginal diag((a+b)/2, (2-a-b)/2).
+    pair at n = 0 (spectrum: ``tomography.choi_eigenvalues``, halved), with
+    reference marginal I/2 and system marginal diag((a+b)/2, (2-a-b)/2).
     Returns delta_i with delta_i[n] = I(n+1) - I(n); ``analysis.summarize``
     adds up the increments above its threshold into I_LFS. Raises ValueError
     for the first J/2 with an eigenvalue below -``DENSITY_TOL`` or not finite.
     """
-    a, b, c, d = family[:, 0].real, family[:, 1].real, family[:, 2], family[:, 3]
-    w = np.concatenate([eigvalsh2(a, 1.0 - b, c), eigvalsh2(1.0 - a, b, d)],
-                       axis=-1) / 2.0
+    w = choi_eigenvalues(family) / 2.0
     bad = ~(w.min(axis=-1) >= -DENSITY_TOL)   # a NaN eigenvalue is bad too
     if bad.any():
         raise ValueError(f"state {int(np.argmax(bad))} is not a valid density matrix")
+    a, b = family[:, 0].real, family[:, 1].real
     marginal = np.stack([a + b, (1.0 - a) + (1.0 - b)], axis=-1) / 2.0
     return np.diff(1.0 + _entropy_from_eigs(marginal) - _entropy_from_eigs(w))

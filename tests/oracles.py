@@ -6,14 +6,15 @@ general route the package's closed forms specialize: the propagators as
 Kronecker products of the 2-qubit Hamiltonians, the Gibbs weights as they
 were before their overflow limit, the allocating collision loop and the
 LAPACK Cholesky certificate of its drift check, the Pauli-trace Bloch
-vectors, the 3x3 affine route of the tomography (maps r -> M r + c on
+vectors and the maps and spectra the array pass took from them, the 3x3
+affine route of the tomography (maps r -> M r + c on
 Bloch vectors, adjugate inverses, 4x4 superoperators and Choi matrices,
 ``eigvalsh`` spectra), the defining two-point KDQ expression, the
 whole-matrix Hermiticity deviation, the checked ``eigh`` decomposition, and
 trace norm, entropy and mutual information from ``eigvalsh`` spectra. The
 ``stacked_eigvalsh2`` function is ``linalg.eigvalsh2`` as it assembled its
-output with ``np.stack``, which the preallocating one must match bit for
-bit.
+output with ``np.stack`` and took a given determinant; without one, the
+preallocating one must match it bit for bit.
 """
 
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from kdqflux.linalg import (HERMITICITY_TOL, _require_hermitian,
 from kdqflux.model import (ANISOTROPIC, IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z,
                            anisotropic_sm_interaction, heisenberg_interaction,
                            local_hamiltonian, thermal_state)
-from kdqflux.tomography import SingularMapError
+from kdqflux.tomography import SingularMapError, time_local_family
 
 # Eigenvalues in [-EIG_CLIP, 0] are treated as exact zeros (round-off from
 # positive-semidefinite matrices); anything below -EIG_CLIP is an error.
@@ -43,9 +44,9 @@ def same_bits(a, b) -> bool:
 
 # ------------------------------------------------------------- collisions
 
-def kron_collision_unitaries(spins, couplings):
-    """The propagators of ``model.collision_unitaries``, with every
-    S (x) M (x) A Hamiltonian term a Kronecker product of 2-qubit ones."""
+def kron_hamiltonians(spins, couplings):
+    """The S-M and M-A Hamiltonians of ``model.collision_unitaries``, with
+    every S (x) M (x) A term a Kronecker product of 2-qubit ones."""
     h_free = (
         np.kron(np.kron(local_hamiltonian(spins.omega_s), IDENTITY_2), IDENTITY_2)
         + np.kron(np.kron(IDENTITY_2, local_hamiltonian(spins.omega_m)), IDENTITY_2)
@@ -57,12 +58,24 @@ def kron_collision_unitaries(spins, couplings):
         h_sm = anisotropic_sm_interaction(couplings.gamma, strength)
     else:
         h_sm = heisenberg_interaction(couplings.g_sm)
-    u_sm = exp_hermitian_generator(h_free + np.kron(h_sm, IDENTITY_2),
-                                   couplings.tau1)
-    u_ma = exp_hermitian_generator(
-        h_free + np.kron(IDENTITY_2, heisenberg_interaction(couplings.g_ma)),
-        couplings.tau2)
-    return u_sm, u_ma
+    return (h_free + np.kron(h_sm, IDENTITY_2),
+            h_free + np.kron(IDENTITY_2, heisenberg_interaction(couplings.g_ma)))
+
+
+def kron_collision_unitaries(spins, couplings):
+    """The propagators of ``model.collision_unitaries`` from
+    ``kron_hamiltonians``."""
+    h_sm, h_ma = kron_hamiltonians(spins, couplings)
+    return (exp_hermitian_generator(h_sm, couplings.tau1),
+            exp_hermitian_generator(h_ma, couplings.tau2))
+
+
+def pauli_coefficients(h):
+    """The 64 coefficients Tr(P h) / 8 of an 8x8 matrix in the Pauli
+    strings P on three qubits."""
+    paulis = (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z)
+    return np.array([np.trace(np.kron(np.kron(p, q), r) @ h) / 8.0
+                     for p in paulis for q in paulis for r in paulis])
 
 
 def exp_thermal_state(spec, omega):
@@ -129,6 +142,62 @@ def pauli_bloch_history(probes):
     """Bloch vectors Tr(sigma rho) of a (..., 2, 2) stack as one Pauli einsum."""
     pauli = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
     return np.einsum("pij,...ji->...p", pauli, probes).real
+
+
+def bloch_phase_covariant_maps(probe_blochs):
+    """(a, b, c, d) of the maps that take the probes (P0, P1, P+, PR) to
+    the (..., 4, 3) Bloch vectors ``probe_blochs``, as the package read
+    them off Bloch vectors: a = (1 + z(P0))/2, b = (1 + z(P1))/2,
+    c = (x(P+) + y(PR) + i(x(PR) - y(P+)))/2 and
+    d = (x(P+) - y(PR) - i(x(PR) + y(P+)))/2. Raises ValueError for a
+    non-finite entry."""
+    r = np.asarray(probe_blochs, dtype=float)
+    if not np.isfinite(r).all():
+        raise ValueError("probe Bloch vectors must be finite")
+    x_plus, y_plus, x_r, y_r = (r[..., 2, 0], r[..., 2, 1], r[..., 3, 0],
+                                r[..., 3, 1])
+    maps = np.zeros(r.shape[:-1], dtype=complex)
+    re, im = maps.real, maps.imag
+    re[..., 0], re[..., 1] = (1.0 + r[..., 0, 2]) / 2.0, (1.0 + r[..., 1, 2]) / 2.0
+    re[..., 2], im[..., 2] = (x_plus + y_r) / 2.0, (x_r - y_plus) / 2.0
+    re[..., 3], im[..., 3] = (x_plus - y_r) / 2.0, -(x_r + y_plus) / 2.0
+    return maps
+
+
+def bloch_route(states, omega_s):
+    """The map family, the witness table and the SingularMapError (or None)
+    of a run from its (n+1, 5, 2, 2) states, by the route of the array pass
+    before it read the maps off the states: Pauli-trace Bloch vectors,
+    ``bloch_phase_covariant_maps``, and Choi spectra from
+    ``stacked_eigvalsh2``, given the CP margins as the step maps' block
+    determinants. The step maps are ``tomography.time_local_family``'s.
+    Keys are the WitnessRecord field names."""
+    family = bloch_phase_covariant_maps(pauli_bloch_history(states[:, 1:]))
+    a, b, c, d = family[:, 0].real, family[:, 1].real, family[:, 2], family[:, 3]
+    w = np.concatenate([stacked_eigvalsh2(a, 1.0 - b, c),
+                        stacked_eigvalsh2(1.0 - a, b, d)], axis=-1) / 2.0
+    marginal = np.stack([a + b, (1.0 - a) + (1.0 - b)], axis=-1) / 2.0
+    delta_i = np.diff(1.0 + witnesses._entropy_from_eigs(marginal)
+                      - witnesses._entropy_from_eigs(w))
+    steps, error = time_local_family(family)
+    n = len(steps)
+    a, b, c, d = steps[:, 0].real, steps[:, 1].real, steps[:, 2], steps[:, 3]
+    p0, p1 = states[:n, 0, 0, 0].real, states[:n, 0, 1, 1].real
+    c_margin = a * (1.0 - b) - np.abs(c) ** 2
+    d_margin = b * (1.0 - a) - np.abs(d) ** 2
+    w = np.concatenate([stacked_eigvalsh2(a, 1.0 - b, c, c_margin),
+                        stacked_eigvalsh2(1.0 - a, b, d, d_margin)], axis=-1)
+    columns = {
+        "n": np.arange(1, n + 1), "p0": p0, "p1": p1, "a": a, "b": b,
+        "c": c, "d": d, "residual": np.zeros(n),
+        "n_q": np.abs(a * p0) + np.abs((1.0 - a) * p0)
+        + np.abs(b * p1) + np.abs((1.0 - b) * p1) - 1.0,
+        "g_n": np.abs(w).sum(axis=1) / 2.0 - 1.0,
+        "delta_i": delta_i[:n],
+        "avg_de": omega_s * ((a - 1.0) * p0 + b * p1),
+        "c_abs2_margin": c_margin, "d_abs2_margin": d_margin,
+        "choi_min_eig": w.min(axis=1)}
+    return family, columns, error
 
 
 @dataclass(frozen=True)
@@ -371,7 +440,9 @@ def partial_trace(m: np.ndarray, dims: Sequence[int], keep) -> np.ndarray:
 
 
 def stacked_eigvalsh2(p, q, o, det=None):
-    """``linalg.eigvalsh2`` of the 2x2 Hermitian stack [[p, o], [o*, q]]."""
+    """``linalg.eigvalsh2`` of the 2x2 Hermitian stack [[p, o], [o*, q]],
+    with ``det`` (default p q - |o|^2) over the larger-magnitude root as the
+    other one."""
     half = (p + q) / 2.0
     big = half + np.copysign(np.hypot((p - q) / 2.0, np.abs(o)), half)
     if det is None:

@@ -11,11 +11,12 @@ g_SM = g_MA = 0.2, tau1 = tau2 = 0.2, beta = 1, initial system state I/2.
 import numpy as np
 import pytest
 
-from kdqflux.analysis import _FIELDS, _witness_columns, analyze
+from kdqflux.analysis import analyze
 from kdqflux.cli import load_config, sweep_points
 from kdqflux.engine import RunConfig, evolve_grid
 from kdqflux.model import (ANISOTROPIC, SIGMA_X, SIGMA_Y, SIGMA_Z,
                            CouplingParams, SpinParams, collision_unitaries)
+from kdqflux.witnesses import witness_columns
 from oracles import (affine_family, affine_to_superoperator, hermitian_eig,
                      kdq_general, pattern_superoperator, time_local_map,
                      trace_norm, von_neumann_entropy)
@@ -122,8 +123,8 @@ def _nonpositivity(a: float, b: float, p0: float) -> float:
     """N_q of the phase covariant step map (a, b) on diag(p0, 1 - p0)."""
     step = np.array([[a, b, 0.0, 0.0]], dtype=complex)   # (a, b, c, d)
     rho = np.diag([p0, 1.0 - p0]).astype(complex)
-    columns = _witness_columns(step, rho[np.newaxis], np.zeros(1), 1.0)
-    return float(dict(zip(_FIELDS[1:], columns))["n_q"][0])
+    columns = witness_columns(step, rho[np.newaxis], np.zeros(1), 1.0)
+    return float(columns["n_q"][0])
 
 
 def test_criterion_03_nonpositivity_biconditional():

@@ -358,3 +358,49 @@ def test_sweep_points_stay_within_bound_of_the_affine_route():
             assert errors[p] is None
             result = analyze_evolved(config, states[:, p])
             _assert_close_to_affine_route(result, states[:, p])
+
+
+def _random_short_config(rng) -> RunConfig:
+    """A configuration drawn like the benchmark's short random runs:
+    frequencies in [0.6, 1.4], couplings and durations in [0.05, 0.4],
+    log-uniform beta in [0.2, 3], anisotropic half the time, 20-100
+    collisions."""
+    u = rng.uniform
+    anisotropic = rng.random() < 0.5
+    return RunConfig(
+        spins=SpinParams(*u(0.6, 1.4, 3)),
+        couplings=CouplingParams(
+            *u(0.05, 0.4, 4), gamma=u(-1.0, 1.0) if anisotropic else 0.0,
+            sm_interaction_kind=ANISOTROPIC if anisotropic else ISOTROPIC),
+        thermal=ThermalSpec(beta=float(np.exp(u(np.log(0.2), np.log(3.0))))),
+        n_max=int(rng.integers(20, 101)))
+
+
+def test_array_pass_equals_the_bloch_route_bit_for_bit():
+    # the family, every column (signs of zeros included), the summary and
+    # the singular step of the array pass against the route through
+    # Pauli-trace Bloch vectors and spectra given their determinants
+    rng = np.random.default_rng(14)
+    configs = [
+        RunConfig(),
+        RunConfig(couplings=CouplingParams(sm_interaction_kind=ANISOTROPIC, gamma=-0.4)),
+        RunConfig(n_max=50),
+        RunConfig(spins=SpinParams(omega_s=0.93), n_max=300),
+        RunConfig(couplings=CouplingParams(tau1=SWAP_TAU), n_max=5),
+    ] + [_random_short_config(rng) for _ in range(40)]
+    steps = []
+    for config in configs:
+        try:
+            result, error = analyze(config), None
+        except SingularMapError as exc:
+            result, error = exc.partial_result, exc
+        family, columns, want_error = oracles.bloch_route(
+            result.states, config.spins.omega_s)
+        assert oracles.same_bits(result.family, family)
+        assert list(result.columns) == list(columns)
+        for name, want in columns.items():
+            assert oracles.same_bits(result.columns[name], want), name
+        assert repr(result.summary) == repr(summarize(columns, n_max=config.n_max))
+        assert repr(error) == repr(want_error)
+        steps.append(error and error.step)
+    assert steps[4] == 2 and steps.count(None) == len(configs) - 1

@@ -71,6 +71,20 @@ def test_invalid_values_rejected(tmp_path):
         load_config(bad)
 
 
+@pytest.mark.parametrize("pair, message", [
+    ("frequency=2", "invalid value for key 'frequency': unknown key"),
+    ("frequency=", "missing value for key 'frequency'"),
+    ("n_max=ten", "invalid value for key 'n_max': 'ten' is not an integer"),
+    ("g_sm=strong", "invalid value for key 'g_sm': 'strong' is not a number"),
+    ("grid_min=inf", "invalid value for key 'grid_min': must be finite"),
+    ("omega_s=nan", "invalid value for key 'omega_s': must be finite"),
+])
+def test_parse_errors_name_the_key_and_the_reason(pair, message):
+    with pytest.raises((InvalidValueError, MissingKeyError)) as error:
+        parse_overrides([pair])
+    assert str(error.value) == message
+
+
 def test_sweep_grid_defaults_and_bounds():
     spec = load_config(None, {"kind": "detuning_sweep"})
     assert spec.grid.shape == (101,)
@@ -161,6 +175,22 @@ def test_run_at_an_overflowing_gibbs_weight_is_finite(tmp_path):
     assert json.loads((out / "summary.json").read_text())["error"] is None
 
 
+def test_unresolvable_hamiltonian_is_a_configuration_error(tmp_path, capsys):
+    # omega_m = 1e20 drowns the O(1) terms in the rounding of eigh (c read
+    # exactly 1); a sweep is rejected before any point runs
+    out = tmp_path / "huge"
+    assert main(["run", "--set", "omega_m=1e20", "--set", "beta=1e-25",
+                 "--set", "n_max=2", "--out", str(out), "--quiet"]) == 1
+    assert main(["sweep", "--set", "kind=detuning_sweep", "--set", "omega_m=1e9",
+                 "--set", "grid_points=3", "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(line.startswith("configuration error: invalid value for key "
+                               "'config': Hamiltonian too large for double "
+                               "precision") for line in err)
+    assert not out.exists()
+
+
 def test_run_singular_flushes_partial_output_and_exits_2(tmp_path):
     out = tmp_path / "partial"
     code = main(["run", "--set", f"tau1={SWAP_TAU}", "--set", "n_max=5",
@@ -202,6 +232,29 @@ def test_env_var_sets_output_dir(tmp_path, monkeypatch):
     flag_dir = tmp_path / "flagout"
     assert main(["run", "--set", "n_max=2", "--out", str(flag_dir), "--quiet"]) == 0
     assert (flag_dir / "collisions.csv").exists()
+
+
+def test_output_dir_precedence(tmp_path, monkeypatch):
+    # --out wins over KDQFLUX_OUTPUT_DIR, which wins over the output_dir key
+    # (from --set or the file), which wins over ./out
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("KDQFLUX_OUTPUT_DIR", raising=False)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"output_dir = {tmp_path / 'file'}\n", encoding="utf-8")
+
+    def written_to(*args):
+        before = set(tmp_path.glob("*/collisions.csv"))
+        assert main(["run", "--set", "n_max=2", "--quiet", *args]) == 0
+        (new,) = set(tmp_path.glob("*/collisions.csv")) - before
+        return new.parent.name
+
+    key = ("--config", str(cfg), "--set", f"output_dir={tmp_path / 'key'}")
+    assert written_to() == "out"
+    assert written_to("--config", str(cfg)) == "file"
+    assert written_to(*key) == "key"
+    monkeypatch.setenv("KDQFLUX_OUTPUT_DIR", str(tmp_path / "env"))
+    assert written_to(*key) == "env"
+    assert written_to(*key, "--out", str(tmp_path / "flag")) == "flag"
 
 
 # ------------------------------------------------------------ sweep command

@@ -183,12 +183,13 @@ def test_evolve_grid_drifting_point_fails_alone(monkeypatch):
 
 
 def test_evolve_grid_non_finite_point_fails_alone(monkeypatch):
-    # with the Gibbs weights normalized as plain exp values, exp(-beta
-    # omega_m / 2) underflows and its partner overflows: the memory state and
-    # every joint state of that point are NaN
+    # with the Gibbs weights normalized as plain exp values, the weight
+    # exp(beta omega_m / 2) of the memory's ground level overflows: the
+    # memory state and every joint state of that point are NaN
     monkeypatch.setattr(model, "thermal_state", exp_thermal_state)
     states = np.stack(probe_states())
-    overflow = RunConfig(spins=SpinParams(omega_m=1e300), n_max=GRID_N_MAX)
+    overflow = RunConfig(spins=SpinParams(omega_m=1.5),
+                         thermal=ThermalSpec(beta=1000.0), n_max=GRID_N_MAX)
     with np.errstate(over="ignore", invalid="ignore"):
         history, (ok, error) = evolve_grid([GRID[1], overflow], states)
     assert ok is None and isinstance(error, InvariantDriftError)
@@ -400,6 +401,26 @@ def test_run_config_stores_n_max_as_a_plain_int():
     assert type(config.n_max) is int and config.n_max == 5
     history, (error,) = evolve_grid([config], np.stack(probe_states()))
     assert error is None and history.shape[0] == 6
+
+
+def test_run_config_rejects_hamiltonians_eigh_cannot_resolve():
+    # eigh resolves a spectrum to about eps ||H||, so each propagator must
+    # keep eps B tau within DRIFT_TOL, B its Hamiltonian's Pauli weight: at
+    # omega_m = 1e9 the first step's c is 5.6e-9 off its converged value,
+    # at 1e12 6.1e-6, and from 1e16 on it reads exactly 1
+    RunConfig(spins=SpinParams(omega_m=1e8))
+    RunConfig(couplings=CouplingParams(tau1=1e7))
+    for config in ({"spins": SpinParams(omega_m=1e9)},
+                   {"spins": SpinParams(omega_s=1e20, omega_m=1e20, omega_a=1e20)},
+                   {"couplings": CouplingParams(tau1=1e8)},
+                   {"couplings": CouplingParams(sm_interaction_kind=ANISOTROPIC,
+                                                aniso_strength=-1e9)}):
+        with pytest.raises(ValueError, match="double precision"):
+            RunConfig(**config)
+    # each Hamiltonian is weighed against its own duration
+    RunConfig(couplings=CouplingParams(g_ma=1e9, tau2=1e-3))
+    with pytest.raises(ValueError, match="double precision"):
+        RunConfig(couplings=CouplingParams(g_ma=1e9, tau2=0.2))
 
 
 def test_tolerance_constants():

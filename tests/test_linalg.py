@@ -194,17 +194,17 @@ def _signed_stack(rng, shape):
 
 def test_eigvalsh2_equals_stacked_form_bit_for_bit():
     # random entries, entries with signed zeros (where the larger root can
-    # be zero), a given determinant, and an empty stack
+    # be zero), and an empty stack
     rng = np.random.default_rng(5)
     normal = [rng.normal(size=(7, 5)) for _ in range(4)]
     signed = [_signed_stack(rng, (7, 5)) for _ in range(4)]
-    cases = [(*normal[:3], None),
-             (signed[0], signed[1], signed[2] + 1j * signed[3], None),
-             (signed[0], signed[1], signed[2] - 1j * normal[3], normal[0]),
-             (np.zeros((0, 5)), np.zeros((0, 5)), np.zeros((0, 5), complex), None)]
-    for p, q, o, det in cases:
+    cases = [normal[:3],
+             (signed[0], signed[1], signed[2] + 1j * signed[3]),
+             (signed[0], signed[1], signed[2] - 1j * normal[3]),
+             (np.zeros((0, 5)), np.zeros((0, 5)), np.zeros((0, 5), complex))]
+    for case in cases:
         for view in (lambda x: x, np.asfortranarray, lambda x: x[::-1, ::2]):
-            args = [view(x) for x in (p, q, o)] + [None if det is None else view(det)]
+            args = [view(x) for x in case]
             assert same_bits(eigvalsh2(*args), stacked_eigvalsh2(*args))
 
 

@@ -9,9 +9,11 @@ from kdqflux.model import (ANISOTROPIC, IDENTITY_2, ISOTROPIC, SIGMA_X,
                            ThermalSpec, anisotropic_sm_interaction,
                            collision_unitaries, heisenberg_interaction,
                            local_hamiltonian, maximally_entangled_state,
-                           probe_states, thermal_state)
+                           phase_error_bound, probe_states,
+                           thermal_state)
 from kdqflux.witnesses import qmi
 from oracles import (exp_thermal_state, kron_collision_unitaries,
+                     kron_hamiltonians, pauli_coefficients,
                      partial_trace, same_bits)
 
 
@@ -125,6 +127,30 @@ def test_collision_unitaries_equal_kron_assembly_bit_for_bit():
         for got, want in zip(collision_unitaries(spins, couplings),
                              kron_collision_unitaries(spins, couplings)):
             assert same_bits(got, want), (spins, couplings)
+
+
+def test_phase_error_bound_sums_the_pauli_coefficients():
+    # eps times the larger of B tau over the two propagators, B the sum of
+    # |Tr(P H)| / 8 over the Pauli strings P, a bound on ||H||_2, for random
+    # configurations of both kinds
+    rng = np.random.default_rng(23)
+    for kind, explicit, _ in itertools.product((ISOTROPIC, ANISOTROPIC),
+                                               (False, True), range(10)):
+        spins = SpinParams(omega_s=rng.uniform(0.05, 2.0),
+                           omega_m=rng.uniform(-2.0, 2.0),
+                           omega_a=rng.uniform(-2.0, 2.0))
+        couplings = CouplingParams(
+            g_sm=rng.uniform(-0.5, 0.5), g_ma=rng.uniform(-0.5, 0.5),
+            tau1=rng.uniform(0.0, 2.0), tau2=rng.uniform(0.0, 2.0),
+            gamma=rng.uniform(-1.0, 1.0), sm_interaction_kind=kind,
+            aniso_strength=rng.uniform(-1.0, 1.0) if explicit else None)
+        weights = [np.abs(pauli_coefficients(h)).sum()
+                   for h in kron_hamiltonians(spins, couplings)]
+        for b, h in zip(weights, kron_hamiltonians(spins, couplings)):
+            assert np.linalg.norm(h, 2) <= b * (1 + 1e-14)
+        want = max(weights[0] * couplings.tau1, weights[1] * couplings.tau2)
+        got = phase_error_bound(spins, couplings) / np.finfo(float).eps
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_resonant_isotropic_energy_preservation():

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from kdqflux.analysis import analyze, evolve_runs, probe_bloch_history
+from kdqflux.analysis import analyze, evolve_runs
 from kdqflux.engine import RunConfig, evolve_grid
 from kdqflux.model import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z,
                            CouplingParams, probe_states)
@@ -16,14 +16,14 @@ from kdqflux.tomography import (SingularMapError, bloch_vector,
                                 det_and_condition, phase_covariant_maps,
                                 time_local_family)
 from oracles import (AffineBlochMap, affine_family, affine_to_superoperator,
-                     apply_superoperator, choi, det3, frobenius_condition3,
-                     off_pattern_residual, pattern_entries,
-                     pattern_superoperator, pauli_bloch_history,
-                     reconstruct_affine, time_local_map)
+                     apply_superoperator, bloch_phase_covariant_maps, choi,
+                     det3, frobenius_condition3, off_pattern_residual,
+                     pattern_entries, pattern_superoperator,
+                     pauli_bloch_history, reconstruct_affine, same_bits,
+                     time_local_map)
 
 _PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 # Bloch vectors of the probe states, in the order (P0, P1, P+, PR)
-# that phase_covariant_maps reads
 PROBE_BLOCHS = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0],
                          [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 SWAP_TAU = np.pi / (2 * 0.2)
@@ -116,35 +116,39 @@ def test_probe_bloch_constants():
         assert np.allclose(bloch_vector(probe), expected, atol=1e-14)
 
 
-def test_probe_bloch_history_equals_pauli_trace_bit_for_bit():
+def test_phase_covariant_maps_equal_the_pauli_trace_route_bit_for_bit():
+    # the maps read off the states against the maps of their Pauli-trace
+    # Bloch vectors: evolved probes, signed zeros, subnormals and values
+    # near the top of the range, random; C, Fortran, sliced, transposed
     rng = np.random.default_rng(9)
     evolved = evolve_runs([RunConfig(n_max=130)])[0][:, 0, 1:]
-    signed = np.array([0.0, -0.0, 1.0, -0.5, 2.0**-1074, -3.0, 1e308, -1e308])
+    signed = np.array([0.0, -0.0, 1.0, -0.5, 2.0**-1074, -3.0, 1e307, -1e307])
     parts = rng.choice(signed, size=(2, 40, 4, 2, 2))
-    stacks = [evolved, parts[0] + 1j * parts[1],
+    # the unevolved probes with every zero part written as -0.0
+    negative_zeros = np.stack([np.stack(probe_states())] * 3)
+    negative_zeros.real[negative_zeros.real == 0.0] = -0.0
+    negative_zeros.imag[negative_zeros.imag == 0.0] = -0.0
+    stacks = [evolved, negative_zeros, parts[0] + 1j * parts[1],
               rng.normal(size=(40, 4, 2, 2)) + 1j * rng.normal(size=(40, 4, 2, 2))]
     for probes in stacks:
         for m in (probes, np.asfortranarray(probes), probes[::3, ::-1],
                   probes.swapaxes(-1, -2)):
-            with np.errstate(over="ignore"):
-                expected = pauli_bloch_history(m)
-                got = probe_bloch_history(m)
-            assert np.array_equal(got, expected)
-            assert np.array_equal(np.signbit(got), np.signbit(expected))
+            assert same_bits(phase_covariant_maps(m),
+                             bloch_phase_covariant_maps(pauli_bloch_history(m)))
 
 
 # -------------------------------------------------------------- reconstruct
 
 def test_reconstruct_unevolved_probes_gives_identity():
-    assert np.array_equal(phase_covariant_maps(PROBE_BLOCHS), IDENTITY)
+    assert np.array_equal(phase_covariant_maps(np.stack(probe_states())),
+                          IDENTITY)
 
 
 def test_reconstruct_full_swap_collision():
     # one full S-M swap with a thermal memory: constant map onto the memory,
     # a = b = its excited population, no coherence left
     config = RunConfig(couplings=CouplingParams(tau1=SWAP_TAU), n_max=1)
-    blochs = probe_bloch_history(evolve_runs([config])[0][:, 0, 1:])
-    out = phase_covariant_maps(blochs[1])
+    out = phase_covariant_maps(evolve_runs([config])[0][1, 0, 1:])
     p_th = (1.0 - np.tanh(0.5)) / 2.0
     assert np.allclose(out, [p_th, p_th, 0.0, 0.0], rtol=0.0, atol=1e-12)
     assert out[0].imag == 0.0 and out[1].imag == 0.0
@@ -152,13 +156,18 @@ def test_reconstruct_full_swap_collision():
 
 def test_reconstruct_rejects_noncanonical_probes():
     # the four probes (P0, P1, P+, PR) fix the map; three do not
+    probes = np.stack(probe_states())
     with pytest.raises(ValueError):
-        phase_covariant_maps(PROBE_BLOCHS[:3])
-    for value in (np.nan, np.inf):
-        blochs = PROBE_BLOCHS.copy()
-        blochs[2, 1] = value
-        with pytest.raises(ValueError, match="finite"):
-            phase_covariant_maps(blochs)
+        phase_covariant_maps(probes[:3])
+    # a non-finite entry that a map reads raises, and so does an overflow:
+    # x(P+) = 1e308 + 1e308
+    for entries, value in ((((2, 0, 1),), np.nan), (((3, 1, 0),), np.inf * 1j),
+                           (((0, 0, 0),), -np.inf), (((2, 0, 1), (2, 1, 0)), 1e308)):
+        bad = probes.copy()
+        for entry in entries:
+            bad[entry] = value
+        with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
+            phase_covariant_maps(bad)
 
 
 def test_reconstruct_matches_the_affine_route():
@@ -168,10 +177,11 @@ def test_reconstruct_matches_the_affine_route():
     family = analyze(RunConfig(n_max=60, couplings=CouplingParams(
         sm_interaction_kind="anisotropic", gamma=0.4))).family
     maps = np.concatenate([family, random_maps(rng, 20)])
-    blochs = pauli_bloch_history(images(maps, np.stack(probe_states())))
-    got = phase_covariant_maps(blochs)
+    probes = images(maps, np.stack(probe_states()))
+    got = phase_covariant_maps(probes)
     assert np.abs(got - maps).max() <= 1e-15
-    assert np.abs(got - pattern_of(reconstruct_affine(blochs))).max() <= 1e-15
+    assert np.abs(got - pattern_of(reconstruct_affine(
+        pauli_bloch_history(probes)))).max() <= 1e-15
 
 
 def test_reconstructed_map_predicts_direct_evolution():
@@ -277,7 +287,7 @@ def test_singular_swap_reports_step_2_like_the_affine_route():
     # a full S-M swap makes the first cumulative map constant
     result_states = evolve_runs([RunConfig(
         couplings=CouplingParams(tau1=SWAP_TAU), n_max=5)])[0][:, 0]
-    family = phase_covariant_maps(probe_bloch_history(result_states[:, 1:]))
+    family = phase_covariant_maps(result_states[:, 1:])
     steps, error = time_local_family(family)
     assert len(steps) == 1 and error.step == 2
     with pytest.raises(SingularMapError) as affine_error:

@@ -1,9 +1,11 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from kdqflux.analysis import _FIELDS, _witness_columns, summarize
+from kdqflux.analysis import summarize
 from kdqflux.model import maximally_entangled_state, thermal_state, ThermalSpec
-from kdqflux.witnesses import lfs_series, qmi
+from kdqflux.witnesses import WitnessRecord, lfs_series, qmi, witness_columns
 import oracles
 from oracles import (AffineBlochMap, affine_to_superoperator,
                      apply_superoperator, choi, kdq_general, pattern_entries,
@@ -20,13 +22,17 @@ def pattern_sop(a: float, b: float, c: complex = 0.3, d: complex = 0.0) -> np.nd
 
 
 def witness_rows(sops, rho_pre, omega_s: float = 1.0) -> dict:
-    """``_witness_columns`` of the pattern entries (a, b, c, d) of step-map
+    """``witness_columns`` of the pattern entries (a, b, c, d) of step-map
     superoperators acting on states, by field name."""
     steps = pattern_entries(np.asarray(sops, dtype=complex).reshape(-1, 4, 4))
     rho_pre = np.broadcast_to(np.asarray(rho_pre, dtype=complex),
                               (len(steps), 2, 2))
-    return dict(zip(_FIELDS[1:], _witness_columns(
-        steps, rho_pre, np.zeros(len(steps)), omega_s)))
+    return witness_columns(steps, rho_pre, np.zeros(len(steps)), omega_s)
+
+
+def zero_table(n: int) -> dict:
+    """A witness table of n collisions with every value 0."""
+    return {f.name: np.zeros(n) for f in fields(WitnessRecord)}
 
 
 def diag_state(p0: float) -> np.ndarray:
@@ -41,6 +47,12 @@ def test_energy_basis_conventions():
     row = witness_rows(pattern_sop(1.0, 1.0), diag_state(0.0), omega_s=0.8)
     assert row["p0"][0] == 0.0 and row["p1"][0] == 1.0
     assert row["avg_de"][0] == pytest.approx(0.8, abs=1e-15)
+
+
+def test_witness_columns_follow_the_record_fields():
+    row = witness_rows(pattern_sop(0.9, 0.1), diag_state(0.3))
+    assert list(row) == [f.name for f in fields(WitnessRecord)]
+    assert row["n"].tolist() == [1] and row["residual"].tolist() == [0.0]
 
 
 # ----------------------------------------------------------------- KDQ maps
@@ -187,7 +199,7 @@ def test_rhp_increment_equals_trace_norm_of_choi_state():
 
 def test_rhp_measure():
     def i_rhp(g):
-        columns = dict.fromkeys(_FIELDS, np.zeros(len(g)))
+        columns = zero_table(len(g))
         columns.update(n=np.arange(1, len(g) + 1), g_n=np.array(g, dtype=float))
         return summarize(columns, n_max=len(g)).i_rhp
     assert i_rhp([0.0, 0.0]) == 0.0
@@ -320,6 +332,6 @@ def test_lfs_series_counts_positive_increments_only():
         for m, z in ((np.zeros((3, 3)), -np.tanh(0.5)), (np.diag([0.7, 0.7, 0.7]), -0.2)))
     delta = lfs_series(np.stack([IDENTITY, partial, thermalizing, partial]))
     assert delta[0] < 0 and delta[1] < 0 and delta[2] > 0
-    columns = dict.fromkeys(_FIELDS, np.zeros(3))
+    columns = zero_table(3)
     columns.update(n=np.arange(1, 4), delta_i=delta)
     assert summarize(columns, n_max=3).i_lfs == pytest.approx(delta[2], abs=1e-12)
