@@ -71,7 +71,7 @@ print("a = b = excited population of the thermal memory, %.4f: the system "
 print("Choi blocks [[a, c], [c*, 1-b]] and [[1-a, d*], [d, b]]: "
       "CP margins %.4f and %.4f"
       % ((a * (1 - b) - abs(c) ** 2).real, (b * (1 - a) - abs(d) ** 2).real))
-print("Choi eigenvalues, block by block:", choi_eigenvalues(swap))
+print("Choi eigenvalues, block by block:", choi_eigenvalues(swap)[0])
 
 print("\n=== maximally entangled reference pair ===")
 bell = maximally_entangled_state()

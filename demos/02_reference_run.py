@@ -28,24 +28,27 @@ assert code == 0
 
 rows = (out_dir / "collisions.csv").read_text().splitlines()
 header = rows[0].split(",")
-data = np.array([[float(x) for x in row.split(",")] for row in rows[1:]])
+data = np.array([[float(x) for x in row.split(",")]
+                 for row in rows[1:]]).reshape(-1, len(header))
 col = {name: i for i, name in enumerate(header)}
 
 n = data[:, col["n"]].astype(int)
 nq = data[:, col["N_q"]]
-g = data[:, col["g_n"]]
-de = data[:, col["avg_dE_over_omega"]]
 
 positive = n[nq > 1e-10]
 print(f"analyzed {N_MAX} collisions -> {out_dir}/collisions.csv")
-print(f"N_q > 0 at {positive.size} collisions, first at n = {positive[0]}")
+if positive.size == 0:
+    print(f"N_q never turned positive in {N_MAX} collisions "
+          "(the first window opens at n = 40)")
+else:
+    print(f"N_q > 0 at {positive.size} collisions, first at n = {positive[0]}")
 
-print("\n  n    p1       a        b        N_q        g_n        <dE>/omega")
-window = (n >= positive[0] - 3) & (n <= positive[0] + 6)
-for row in data[window]:
-    print("%4d  %.4f  %+.4f  %+.4f  %.3e  %.3e  %+.3e" % (
-        row[col["n"]], row[col["p1"]], row[col["a"]], row[col["b"]],
-        row[col["N_q"]], row[col["g_n"]], row[col["avg_dE_over_omega"]]))
+    print("\n  n    p1       a        b        N_q        g_n        <dE>/omega")
+    window = (n >= positive[0] - 3) & (n <= positive[0] + 6)
+    for row in data[window]:
+        print("%4d  %.4f  %+.4f  %+.4f  %.3e  %.3e  %+.3e" % (
+            row[col["n"]], row[col["p1"]], row[col["a"]], row[col["b"]],
+            row[col["N_q"]], row[col["g_n"]], row[col["avg_dE_over_omega"]]))
 
-print("\nnote how the map entry a leaves [0, 1] exactly where N_q turns on,")
-print("and the normalized energy flux flips sign inside the same window.")
+    print("\nnote how the map entry a leaves [0, 1] exactly where N_q turns on,")
+    print("and the normalized energy flux flips sign inside the same window.")

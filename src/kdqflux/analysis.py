@@ -149,7 +149,9 @@ def summarize(columns, n_max: int) -> RunSummary:
     ``columns`` is a table like ``RunResult.columns``; an empty one means no
     collisions. I_RHP, I_LFS and sum N_q all add up the values that exceed
     ``TOL_POS``, so round-off increments of a CP-divisible run count as zero
-    in all three. The maxima are taken with Python's ``max`` and ``abs``.
+    in all three. ``max_abs_d`` takes |d| as ``np.hypot`` of its parts,
+    which is libm's ``hypot``, as Python's complex ``abs``; ``np.abs`` of a
+    complex array differs from it by an ulp on some members.
     """
     columns = dict(columns) or {f.name: np.empty(0) for f in fields(WitnessRecord)}
     nq, g, delta_i, steps = (columns[k] for k in ("n_q", "g_n", "delta_i", "n"))
@@ -162,6 +164,7 @@ def summarize(columns, n_max: int) -> RunSummary:
 
     first_nq, last_nq = first_last(nq)
     first_g, last_g = first_last(g)
+    d = columns["d"]
     return RunSummary(
         n_max=n_max,
         i_rhp=float(g[g > TOL_POS].sum()),
@@ -171,6 +174,7 @@ def summarize(columns, n_max: int) -> RunSummary:
         first_g_positive=first_g, last_g_positive=last_g,
         implication_violations=int(np.sum(
             (nq > TOL_POS) & (columns["choi_min_eig"] >= -TOL_POS))),
-        max_off_pattern_residual=max(columns["residual"].tolist(), default=0.0),
-        max_abs_d=max(map(abs, columns["d"].tolist()), default=0.0),
+        max_off_pattern_residual=float(
+            np.max(columns["residual"], initial=0.0)),
+        max_abs_d=float(np.max(np.hypot(d.real, d.imag), initial=0.0)),
         tol_pos=TOL_POS)

@@ -18,11 +18,10 @@ Exit codes: 0 success, 1 configuration error, 2 runtime/numerical failure,
 
 import argparse
 import dataclasses
+import functools
 import json
-import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,6 +45,8 @@ COLLISION_HEADER = ("n,p0,p1,a,b,c_re,c_im,d_re,d_im,N_q,g_n,delta_I,"
                     "avg_dE_over_omega,choi_min_eig,residual")
 SWEEP_HEADER = "grid_value,i_rhp,i_lfs,sum_nq,error"
 _COLLISION_ROW = "%d," + ",".join(["%.17g"] * 14) + "\n"   # "%.17g" is _fmt
+# collisions.csv is formatted and written this many rows at a time
+_CSV_BLOCK_ROWS = 128
 
 # Every configuration key with its type and default; the defaults are the
 # resonant reference run, and None leaves a key unset.
@@ -259,10 +260,13 @@ def run_single(spec: ExperimentSpec, quiet: bool = False) -> int:
             c["d"].real, c["d"].imag, c["n_q"], c["g_n"], c["delta_i"],
             c["avg_de"] / spec.base.spins.omega_s, c["choi_min_eig"],
             c["residual"]])
-        (spec.output_dir / "collisions.csv").write_text(
-            COLLISION_HEADER + "\n"
-            + (_COLLISION_ROW * len(table)) % tuple(table.ravel().tolist()),
-            encoding="utf-8")
+        with open(spec.output_dir / "collisions.csv", "w",
+                  encoding="utf-8") as f:
+            f.write(COLLISION_HEADER + "\n")
+            for i in range(0, len(table), _CSV_BLOCK_ROWS):
+                rows = table[i:i + _CSV_BLOCK_ROWS]
+                f.write((_COLLISION_ROW * len(rows))
+                        % tuple(rows.ravel().tolist()))
     if "json" in spec.formats:
         _write_json(spec.output_dir / "summary.json",
                     _summary_dict(result, error))
@@ -341,6 +345,8 @@ def sweep_points(spec: ExperimentSpec, workers: int = 1) -> list[dict]:
     size = max(1, SWEEP_CHUNK_BYTES // (5 * (spec.base.n_max + 1) * 4 * 16))
     chunks = [configs[i:i + size] for i in range(0, len(configs), size)]
     if workers > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(
                 max_workers=workers,
                 mp_context=multiprocessing.get_context("spawn")) as pool:
@@ -386,6 +392,7 @@ def run_sweep(spec: ExperimentSpec, workers: int = 1, quiet: bool = False) -> in
     return 3 if failures else 0
 
 
+@functools.cache   # built once per process; parsing does not change it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kdqflux",

@@ -74,11 +74,17 @@ class RunConfig:
 # The collision loop keeps its stack of G x k joint states in the layout
 # [point, row, state, column], shape (G, 4, k, 4) for S-M and (G, 8, k, 8)
 # with the environment qubit, so that each unitary product is one 2-D matrix
-# product per grid point: a point's arithmetic does not depend on G.
+# product per grid point: a point's arithmetic does not depend on G. The
+# Kronecker product with rho_A and the environment trace act on the same
+# memory as (4G, 2, 4k) and (4G, 1, 4k) arrays: rows (point, row), columns
+# (state, column).
 
-# Joint states are checked for invariant drift in blocks of this many
-# collisions, so the check never holds the whole joint history.
+# Joint states are checked for invariant drift in blocks of at least
+# CHECK_BLOCK collisions and of about CHECK_STATES states (a single run
+# checks 256 collisions at a time), so the check never holds the whole joint
+# history, and its fixed cost per block is spread over enough states.
 CHECK_BLOCK = 64
+CHECK_STATES = 1280
 
 # The drift check's certificate shift stays this far below the tolerance,
 # well above the few 1e-16 of rounding in the LDL^H pivots and in eigvalsh of
@@ -186,40 +192,51 @@ def evolve_grid(configs, initial_systems: np.ndarray
                       for c in configs])
 
     n1 = n_max + 1
+    size = min(max(CHECK_BLOCK, CHECK_STATES // (g * k)), n1)
     system = np.empty((n1, g, k, 2, 2), dtype=complex)
-    block = np.empty((min(CHECK_BLOCK, n1), g, k, 4, 4), dtype=complex)
     errors: list[InvariantDriftError | None] = [None] * g
 
-    # buffers written through fixed views: x, x (x) rho_A, u @ (x (x) rho_A)
-    # and its product with u_dag, whose environment trace goes back into x
-    x = np.empty((g, 4, k, 4), dtype=complex)
+    # the loop's joint states, [slot, point, row, state, column]: collision
+    # n is written to slot n % size, and a full block is checked at once;
+    # the S-M half of a collision writes its output to ``half``
+    rows, cols = 4 * g, 4 * k
+    block = np.empty((size, g, 4, k, 4), dtype=complex)
     np.einsum("kij,gab->giakjb", initial_systems, rho_m,
-              out=x.reshape(g, 2, 2, k, 2, 2))
-    # rho_A is diagonal (model.thermal_state), so the blocks of x (x) rho_A
-    # off its diagonal stay zero and only the two diagonal ones are written,
+              out=block[0].reshape(g, 2, 2, k, 2, 2))
+    slots = list(block.reshape(size, rows, 1, cols))
+    half = np.empty((rows, 1, cols), dtype=complex)
+    # a full block, copied to [slot, point, state, row, column] for the check
+    # and the system-state trace
+    checked = np.empty((size, g, k, 4, 4), dtype=complex)
+    # x (x) rho_A, u @ (x (x) rho_A) and its product with u_dag. rho_A is
+    # diagonal (model.thermal_state), so the blocks of x (x) rho_A off its
+    # diagonal stay zero and only the two diagonal ones are written,
     # through the diagonal view of xe
-    xe = np.zeros((g, 4, 2, k, 4, 2), dtype=complex)
-    xe_diag = np.einsum("giasja->giasj", xe)
-    x_env = x[:, :, np.newaxis]
-    p_a = rho_a.diagonal(0, 1, 2)[:, np.newaxis, :, np.newaxis, np.newaxis]
+    xe = np.zeros((rows, 2, cols, 2), dtype=complex)
+    xe_diag = np.einsum("rasa->ras", xe)
+    p_a = np.repeat(rho_a.diagonal(0, 1, 2), 4, axis=0)[:, :, np.newaxis]
     y = np.empty((g, 8, 8 * k), dtype=complex)
     z = np.empty((g, 8 * k, 8), dtype=complex)
     xe_flat, y_r = xe.reshape(g, 8, 8 * k), y.reshape(g, 8 * k, 8)
-    z6 = z.reshape(g, 4, 2, k, 4, 2)
-    z00, z11 = z6[:, :, 0, :, :, 0], z6[:, :, 1, :, :, 1]
-    x_t = x.transpose(0, 2, 1, 3)
+    z4 = z.reshape(rows, 2, cols, 2)
+    z00, z11 = z4[:, 0:1, :, 0], z4[:, 1:2, :, 1]
+    multiply, matmul, add = np.multiply, np.matmul, np.add
     for n in range(n1):
+        j = n % size
         if n:
-            for u, u_dag in ((u_sm, u_sm_dag), (u_ma, u_ma_dag)):
-                np.multiply(x_env, p_a, out=xe_diag)
-                np.matmul(u, xe_flat, out=y)
-                np.matmul(y_r, u_dag, out=z)
-                np.add(z00, z11, out=x)
-        j = n % CHECK_BLOCK
-        block[j] = x_t
-        if j == CHECK_BLOCK - 1 or n == n_max:
-            states, start = block[:j + 1], n - j
-            system[start:n + 1] = np.einsum(
-                "ngkaibi->ngkab", states.reshape(j + 1, g, k, 2, 2, 2, 2))
+            multiply(slots[j - 1], p_a, out=xe_diag)
+            matmul(u_sm, xe_flat, out=y)
+            matmul(y_r, u_sm_dag, out=z)
+            add(z00, z11, out=half)
+            multiply(half, p_a, out=xe_diag)
+            matmul(u_ma, xe_flat, out=y)
+            matmul(y_r, u_ma_dag, out=z)
+            add(z00, z11, out=slots[j])
+        if j == size - 1 or n == n_max:
+            start, states = n - j, checked[:j + 1]
+            np.copyto(states, block[:j + 1].transpose(0, 1, 3, 2, 4))
+            np.einsum("ngkaibi->ngkab",
+                      states.reshape(j + 1, g, k, 2, 2, 2, 2),
+                      out=system[start:n + 1])
             _check_block(states, start, DRIFT_TOL, errors)
     return system, errors

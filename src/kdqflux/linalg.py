@@ -41,21 +41,30 @@ def _require_hermitian(m: np.ndarray, tol: float, what: str) -> np.ndarray:
     return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
-def eigvalsh2(p: np.ndarray, q: np.ndarray, o: np.ndarray) -> np.ndarray:
-    """Eigenvalues (..., 2) of the Hermitian stack [[p, o], [o*, q]], with p,
-    q real and p, q, o of one shape: the determinant p q - |o|^2 over the
-    larger-magnitude root tr/2 + hypot((p - q)/2, |o|), signed like the
-    trace, then that root."""
+def eigvalsh2(p: np.ndarray, q: np.ndarray,
+              o: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (..., 2) and determinants of the Hermitian stack
+    [[p, o], [o*, q]], with p, q real and p, q, o of one shape. The
+    eigenvalues are the determinant p q - |o|^2 over the larger-magnitude
+    root tr/2 + hypot((p - q)/2, |o|), signed like the trace, then that
+    root."""
     half = (p + q) / 2.0
     w = np.zeros(half.shape + (2,))
     small, big = w[..., 0], w[..., 1]
     np.add(half, np.copysign(np.hypot((p - q) / 2.0, np.abs(o)), half), out=big)
-    np.divide(p * q - np.abs(o) ** 2, big, out=small, where=big != 0.0)
-    return w
+    det = p * q - np.abs(o) ** 2
+    np.divide(det, big, out=small, where=big != 0.0)
+    return w, det
 
 
-def exp_hermitian_generator(h: np.ndarray, t: float) -> np.ndarray:
+def exp_hermitian_generator(h: np.ndarray, t) -> np.ndarray:
     """exp(-i h t) for h Hermitian within ``HERMITICITY_TOL``, via spectral
-    decomposition; unitary to machine precision for any real ``t``."""
+    decomposition; unitary to machine precision for any real ``t``.
+
+    ``h`` may be a (..., d, d) stack, decomposed by one batched ``eigh``;
+    ``t`` is then a number or an array that broadcasts against the
+    (..., d) eigenvalues, such as one duration per member as a (..., 1)
+    column. Each member gets the bits it gets alone."""
     w, v = np.linalg.eigh(_require_hermitian(h, HERMITICITY_TOL, "exp_hermitian_generator"))
-    return (v * np.exp(-1j * w * t)) @ v.conj().T
+    phases = np.exp(-1j * w * t)[..., np.newaxis, :]
+    return (v * phases) @ v.conj().swapaxes(-1, -2)

@@ -173,7 +173,8 @@ def collision_unitaries(spins: SpinParams,
     ``u_sm`` generates the system-memory collision of duration tau1 and
     ``u_ma`` the memory-environment collision of duration tau2; both include
     the free evolution of all three qubits. Each Hamiltonian is a sum of
-    the constant Pauli products above, scaled by the parameters.
+    the constant Pauli products above, scaled by the parameters; both are
+    exponentiated together, as one (2, 8, 8) stack.
     """
     h_free = (spins.omega_s / 2.0 * _ZII + spins.omega_m / 2.0 * _IZI
               + spins.omega_a / 2.0 * _IIZ)
@@ -184,9 +185,10 @@ def collision_unitaries(spins: SpinParams,
                            + _ZZI)
     else:
         h_sm = couplings.g_sm / 2.0 * _HEISENBERG_SM
-    u_sm = exp_hermitian_generator(h_free + h_sm, couplings.tau1)
-    u_ma = exp_hermitian_generator(
-        h_free + couplings.g_ma / 2.0 * _HEISENBERG_MA, couplings.tau2)
+    h_ma = couplings.g_ma / 2.0 * _HEISENBERG_MA
+    h = np.stack([h_free + h_sm, h_free + h_ma])
+    u_sm, u_ma = exp_hermitian_generator(
+        h, np.array([[couplings.tau1], [couplings.tau2]]))
     return u_sm, u_ma
 
 

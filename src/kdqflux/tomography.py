@@ -80,14 +80,17 @@ def phase_covariant_maps(probes: np.ndarray) -> np.ndarray:
     return maps
 
 
-def choi_eigenvalues(maps: np.ndarray) -> np.ndarray:
-    """Eigenvalues (..., 4) of the Choi matrices of a (..., 4) stack of maps:
-    those of the blocks [[a, c], [c*, 1-b]] and [[1-a, d*], [d, b]], by
-    ``linalg.eigvalsh2``, whose small roots carry the signs of the block
-    determinants, the CP margins."""
+def choi_eigenvalues(maps: np.ndarray
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues (..., 4) of the Choi matrices of a (..., 4) stack of maps,
+    with the determinants of their two blocks [[a, c], [c*, 1-b]] and
+    [[1-a, d*], [d, b]]: the CP margins a (1-b) - |c|^2 and
+    (1-a) b - |d|^2, whose signs the small roots carry. The spectrum is that
+    of the blocks, by ``linalg.eigvalsh2``."""
     a, b = maps[..., 0].real, maps[..., 1].real
-    return np.concatenate([eigvalsh2(a, 1.0 - b, maps[..., 2]),
-                           eigvalsh2(1.0 - a, b, maps[..., 3])], axis=-1)
+    w_c, det_c = eigvalsh2(a, 1.0 - b, maps[..., 2])
+    w_d, det_d = eigvalsh2(1.0 - a, b, maps[..., 3])
+    return np.concatenate([w_c, w_d], axis=-1), det_c, det_d
 
 
 def det_and_condition(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -59,18 +59,18 @@ def witness_columns(steps: np.ndarray, rho_pre: np.ndarray,
     maps (a, b, c, d) of collisions 1..n on the (n, 2, 2) states ``rho_pre``
     and the n QMI increments ``delta_i``. The KDQ values
     q[in, fin] = Tr[Pi_fin Lambda[Pi_in rho]] in the energy basis are
-    a p0, (1-a) p0, b p1 and (1-b) p1; ``residual`` is 0."""
+    a p0, (1-a) p0, b p1 and (1-b) p1; the CP margins are the Choi block
+    determinants of ``choi_eigenvalues``; ``residual`` is 0."""
     a, b, c, d = steps[:, 0].real, steps[:, 1].real, steps[:, 2], steps[:, 3]
     p0, p1 = rho_pre[:, 0, 0].real, rho_pre[:, 1, 1].real
-    w = choi_eigenvalues(steps)
+    w, c_margin, d_margin = choi_eigenvalues(steps)
     return {"n": np.arange(1, len(a) + 1), "p0": p0, "p1": p1, "a": a, "b": b,
             "c": c, "d": d, "residual": np.zeros(len(a)),
             "n_q": np.abs(a * p0) + np.abs((1.0 - a) * p0)
             + np.abs(b * p1) + np.abs((1.0 - b) * p1) - 1.0,
             "g_n": np.abs(w).sum(axis=-1) / 2.0 - 1.0, "delta_i": delta_i,
             "avg_de": omega_s * ((a - 1.0) * p0 + b * p1),
-            "c_abs2_margin": a * (1.0 - b) - np.abs(c) ** 2,
-            "d_abs2_margin": b * (1.0 - a) - np.abs(d) ** 2,
+            "c_abs2_margin": c_margin, "d_abs2_margin": d_margin,
             "choi_min_eig": w.min(axis=-1)}
 
 
@@ -103,7 +103,7 @@ def qmi(rho_ls: np.ndarray) -> np.ndarray:
     rho_l = np.einsum("...albl->...ab", four)
     rho_s = np.einsum("...lalb->...ab", four)
     s_l, s_s = (_entropy_from_eigs(eigvalsh2(r[..., 0, 0].real, r[..., 1, 1].real,
-                                             r[..., 1, 0])) for r in (rho_l, rho_s))
+                                             r[..., 1, 0])[0]) for r in (rho_l, rho_s))
     return s_l + s_s - _entropy_from_eigs(w_ls)
 
 
@@ -119,7 +119,7 @@ def lfs_series(family: np.ndarray) -> np.ndarray:
     adds up the increments above its threshold into I_LFS. Raises ValueError
     for the first J/2 with an eigenvalue below -``DENSITY_TOL`` or not finite.
     """
-    w = choi_eigenvalues(family) / 2.0
+    w = choi_eigenvalues(family)[0] / 2.0
     bad = ~(w.min(axis=-1) >= -DENSITY_TOL)   # a NaN eigenvalue is bad too
     if bad.any():
         raise ValueError(f"state {int(np.argmax(bad))} is not a valid density matrix")

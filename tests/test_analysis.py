@@ -1,14 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from kdqflux.analysis import (TOL_POS, RunSummary, analyze, analyze_evolved,
                               evolve_runs, summarize)
 from kdqflux.engine import RunConfig
-from kdqflux.model import ANISOTROPIC, CouplingParams, SpinParams
+from kdqflux.model import (ANISOTROPIC, ISOTROPIC, CouplingParams, SpinParams,
+                           ThermalSpec)
 from kdqflux.tomography import SingularMapError
 from kdqflux.witnesses import qmi
 from oracles import (affine_family, affine_to_superoperator, choi, kdq_general,
-                     pattern_superoperator, time_local_map)
+                     pattern_superoperator, same_bits, time_local_map)
 
 SWAP_TAU = np.pi / (2 * 0.2)
 
@@ -111,8 +114,8 @@ def test_anisotropic_run_couples_coherence_sectors():
 
 
 def test_summary_equals_python_reductions_of_records_bit_for_bit():
-    # gamma = -0.4: numpy's complex abs and Python's abs differ by one ulp
-    # on the largest |d| of this run, so max_abs_d must use Python's
+    # gamma = -0.4: numpy's complex abs differs from Python's abs by an ulp
+    # on 49 of the 120 |d| of this run; max_abs_d keeps Python's bits
     config = RunConfig(
         couplings=CouplingParams(sm_interaction_kind=ANISOTROPIC, gamma=-0.4),
         n_max=120)
@@ -136,6 +139,45 @@ def test_summary_equals_python_reductions_of_records_bit_for_bit():
     for name in vars(want):
         assert repr(getattr(got, name)) == repr(getattr(want, name)), name
     assert got.max_abs_d > 1e-6
+
+
+def _margin_cases():
+    """The reference point, gamma = -0.4, a detuned isotropic run, no
+    collisions, and 20 random short runs of either coupling kind."""
+    rng = np.random.default_rng(31)
+    cases = [RunConfig(),
+             RunConfig(couplings=CouplingParams(sm_interaction_kind=ANISOTROPIC,
+                                                gamma=-0.4)),
+             RunConfig(spins=SpinParams(omega_s=0.8), n_max=300),
+             RunConfig(n_max=0)]
+    for i in range(20):
+        kind = (ISOTROPIC, ANISOTROPIC)[i % 2]
+        cases.append(RunConfig(
+            spins=SpinParams(*rng.uniform(0.6, 1.4, 3)),
+            couplings=CouplingParams(*rng.uniform(0.05, 0.4, 4),
+                                     gamma=rng.uniform(-1.0, 1.0),
+                                     sm_interaction_kind=kind),
+            thermal=ThermalSpec(beta=np.exp(rng.uniform(np.log(0.2),
+                                                        np.log(3.0)))),
+            n_max=int(rng.integers(20, 101))))
+    return cases
+
+
+def test_margins_and_maxima_equal_their_python_expressions():
+    # the CP margins are the Choi block determinants that the spectrum
+    # forms, and the summary maxima are numpy reductions: both have the
+    # bits of the expressions they replace, so summary.json does not move
+    for config in _margin_cases():
+        result = analyze(config)
+        c = result.columns
+        a, b = c["a"], c["b"]
+        assert same_bits(c["c_abs2_margin"], a * (1.0 - b) - np.abs(c["c"]) ** 2)
+        assert same_bits(c["d_abs2_margin"], b * (1.0 - a) - np.abs(c["d"]) ** 2)
+        want = dataclasses.replace(
+            result.summary,
+            max_off_pattern_residual=max(c["residual"].tolist(), default=0.0),
+            max_abs_d=max(map(abs, c["d"].tolist()), default=0.0))
+        assert repr(result.summary) == repr(want), config
 
 
 def test_detuned_run_stays_phase_covariant():

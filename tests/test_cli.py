@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -255,6 +259,29 @@ def test_output_dir_precedence(tmp_path, monkeypatch):
     monkeypatch.setenv("KDQFLUX_OUTPUT_DIR", str(tmp_path / "env"))
     assert written_to(*key) == "env"
     assert written_to(*key, "--out", str(tmp_path / "flag")) == "flag"
+
+
+def test_consecutive_main_calls_parse_independently(monkeypatch):
+    # the parser is built once per process; each call still gets only its
+    # own --set values on top of the defaults
+    specs = []
+    monkeypatch.setattr(cli, "run_single",
+                        lambda spec, quiet: specs.append(spec) or 0)
+    assert main(["run", "--set", "n_max=3", "--set", "beta=2", "--quiet"]) == 0
+    assert main(["run", "--set", "n_max=5", "--quiet"]) == 0
+    assert main(["run", "--quiet"]) == 0
+    assert [s.base.n_max for s in specs] == [3, 5, 1000]
+    assert [s.base.thermal.beta for s in specs] == [2.0, 1.0, 1.0]
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # only a sweep with more than one worker imports the pool modules
+    code = ("import sys, kdqflux.cli; print([m for m in ('multiprocessing', "
+            "'concurrent.futures') if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[]"
 
 
 # ------------------------------------------------------------ sweep command

@@ -20,3 +20,15 @@ def test_demo_runs(name, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", [name, *ARGS.get(name, [])])
     runpy.run_path(str(DEMOS / f"{name}.py"), run_name="__main__")
     assert capsys.readouterr().out
+
+
+def test_reference_run_demo_before_the_first_window(tmp_path, monkeypatch,
+                                                    capsys):
+    # at 10 collisions N_q never turns positive: the demo says so and skips
+    # the window table
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["02_reference_run", "10"])
+    runpy.run_path(str(DEMOS / "02_reference_run.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    assert "N_q never turned positive in 10 collisions" in out
+    assert "<dE>/omega" not in out

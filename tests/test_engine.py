@@ -3,15 +3,15 @@ import pytest
 
 from kdqflux import engine, model
 from kdqflux.analysis import TOL_POS
-from kdqflux.engine import (CHECK_BLOCK, DRIFT_TOL, ROUNDING_MARGIN,
-                            InvariantDriftError, RunConfig, _check_block,
-                            _ldl_certified, evolve_grid)
+from kdqflux.engine import (CHECK_BLOCK, CHECK_STATES, DRIFT_TOL,
+                            ROUNDING_MARGIN, InvariantDriftError, RunConfig,
+                            _check_block, _ldl_certified, evolve_grid)
 from kdqflux.model import (ANISOTROPIC, CouplingParams, SpinParams,
                            ThermalSpec, collision_unitaries, local_hamiltonian,
                            probe_states, thermal_state)
 from kdqflux.tomography import COND_THRESHOLD, SINGULAR_DET
-from oracles import (cholesky_certified, exp_thermal_state, joint_history,
-                     partial_trace)
+from oracles import (cholesky_certified, exp_thermal_state, hermiticity_max,
+                     joint_history, partial_trace)
 
 I2 = np.eye(2, dtype=complex)
 SWAP_TAU1 = np.pi / (2 * 0.2)   # g_sm * tau1 = pi/2, full S-M swap
@@ -126,7 +126,8 @@ def test_evolve_batch_matches_sequential_steps():
 
 # ------------------------------------------------------------ grid stacks
 
-GRID_N_MAX = 2 * CHECK_BLOCK + 20   # three invariant-check blocks
+# three invariant-check blocks: at G = 6 a block holds CHECK_BLOCK collisions
+GRID_N_MAX = 2 * CHECK_BLOCK + 20
 GRID = [
     RunConfig(n_max=GRID_N_MAX),
     RunConfig(spins=SpinParams(omega_s=0.8, omega_m=1.1, omega_a=0.9),
@@ -180,6 +181,53 @@ def test_evolve_grid_drifting_point_fails_alone(monkeypatch):
         assert str(error) == str(exc_info.value)
         assert 0 < error.step <= GRID_N_MAX
         assert np.array_equal(history[:error.step, p], full[:error.step, p])
+
+
+def _deviations(joint):
+    """Hermiticity, trace and minimum-eigenvalue deviations (n_max + 1, k)
+    of a one-point joint history, taken collision by collision.
+
+    Each collision's states are made C-contiguous first, as the loop's are
+    when it checks them: numpy sums the diagonal of a contiguous stack in
+    another order than that of the history's transposed layout, which moves
+    the trace by an ulp."""
+    devs = []
+    for states in joint[:, 0]:
+        states = np.ascontiguousarray(states)
+        devs.append((hermiticity_max(states),
+                     np.abs(np.trace(states, axis1=-2, axis2=-1) - 1.0),
+                     np.linalg.eigvalsh(states).min(axis=-1)))
+    return [np.stack(dev) for dev in zip(*devs)]
+
+
+@pytest.mark.parametrize("block, first", [(0, 150), (1, 256)])
+def test_single_run_drift_is_found_across_its_longer_blocks(monkeypatch, block,
+                                                            first):
+    # a single run checks its five trajectories CHECK_STATES // 5 = 256
+    # collisions at a time; the bound is lowered to the largest deviation of
+    # collisions 0..first-1, so the first state past it lies in the given
+    # block, and the loop must name it as a per-collision scan does
+    size = CHECK_STATES // 5
+    assert size == 256
+    n_max = 2 * size + 20
+    config = RunConfig(n_max=n_max)
+    states = np.concatenate([config.initial_system[np.newaxis],
+                             np.stack(probe_states())])
+    herm, tr, min_eig = _deviations(joint_history([config], states, n_max))
+    tol = float(max(herm[:first].max(), tr[:first].max(),
+                    -min_eig[:first].min()))
+    bad = (herm > tol) | (tr > tol) | (min_eig < -tol)
+    step = int(np.argmax(bad.any(axis=1)))
+    assert first <= step and step // size == block
+    i = int(np.argmax(bad[step]))
+    monkeypatch.setattr(engine, "DRIFT_TOL", tol)
+    with pytest.raises(InvariantDriftError) as exc_info:
+        evolve(config, states)
+    assert exc_info.value.step == step
+    assert str(exc_info.value) == (
+        f"density-matrix invariants violated at collision {step}: "
+        f"hermiticity {herm[step, i]:.2e}, trace {tr[step, i]:.2e}, "
+        f"min eigenvalue {min_eig[step, i]:.2e}")
 
 
 def test_evolve_grid_non_finite_point_fails_alone(monkeypatch):

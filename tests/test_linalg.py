@@ -205,7 +205,10 @@ def test_eigvalsh2_equals_stacked_form_bit_for_bit():
     for case in cases:
         for view in (lambda x: x, np.asfortranarray, lambda x: x[::-1, ::2]):
             args = [view(x) for x in case]
-            assert same_bits(eigvalsh2(*args), stacked_eigvalsh2(*args))
+            w, det = eigvalsh2(*args)
+            assert same_bits(w, stacked_eigvalsh2(*args))
+            p, q, o = args
+            assert same_bits(det, p * q - np.abs(o) ** 2)
 
 
 # ------------------------------------------------ exp_hermitian_generator
