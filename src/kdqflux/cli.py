@@ -6,11 +6,14 @@ Two subcommands cover the workflows:
                 JSON summary;
 * ``sweep``  -- a detuning or anisotropy grid, one summary row per point.
 
-Configuration comes from an optional key=value text file overridden by
-repeatable ``--set key=value`` flags; defaults reproduce the resonant
-reference run (omega = 1, g = 0.2, tau1 = tau2 = 0.2, beta = 1,
-n_max = 1000, initial state I/2). Output files are deterministic:
-17-significant-digit CSV and schema-versioned JSON.
+Configuration is one flat dict of keys (``_KEYS``), each source overriding
+the ones before it: defaults (the resonant reference run: omega = 1,
+g = 0.2, tau1 = tau2 = 0.2, beta = 1, n_max = 1000, initial state I/2), an
+optional key=value text file, repeatable ``--set key=value`` flags and
+``--format``, ``KDQFLUX_OUTPUT_DIR``, ``--out``. ``_run_config`` and
+``_config_keys`` turn the physical keys into a RunConfig and back, for a
+run, for each sweep point and for the ``params`` of the JSON files. Output
+files are deterministic: 17-significant-digit CSV and schema-versioned JSON.
 
 Exit codes: 0 success, 1 configuration error, 2 runtime/numerical failure,
 3 partial sweep failure.
@@ -27,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import RunResult, analyze, analyze_evolved, evolve_runs
+from .analysis import analyze, analyze_evolved, evolve_runs
 from .engine import InvariantDriftError, RunConfig
 from .model import (ANISOTROPIC, ISOTROPIC, CouplingParams, SpinParams,
                     ThermalSpec)
@@ -44,7 +47,7 @@ _KINDS = (SINGLE_RUN, DETUNING_SWEEP, ANISOTROPY_SWEEP)
 COLLISION_HEADER = ("n,p0,p1,a,b,c_re,c_im,d_re,d_im,N_q,g_n,delta_I,"
                     "avg_dE_over_omega,choi_min_eig,residual")
 SWEEP_HEADER = "grid_value,i_rhp,i_lfs,sum_nq,error"
-_COLLISION_ROW = "%d," + ",".join(["%.17g"] * 14) + "\n"   # "%.17g" is _fmt
+_COLLISION_ROW = "%d," + ",".join(["%.17g"] * 14) + "\n"
 # collisions.csv is formatted and written this many rows at a time
 _CSV_BLOCK_ROWS = 128
 
@@ -115,46 +118,72 @@ def _parse_value(key: str, raw: str):
     return value
 
 
-def _read_config_file(path) -> dict:
+def parse_overrides(pairs) -> dict:
+    """Parse ``key=value`` pairs: ``--set`` flags and config-file lines."""
     values = {}
+    for pair in pairs:
+        key, eq, raw = pair.partition("=")
+        if not eq:
+            raise MissingKeyError(pair)
+        key = key.strip().lower()
+        values[key] = _parse_value(key, raw)
+    return values
+
+
+def _config_file_pairs(path):
+    """The ``key = value`` lines of a config file, without comments."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidValueError("config", f"cannot read {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
+        if stripped and "=" not in stripped:
             raise InvalidValueError(stripped.split()[0],
                                     f"malformed line {lineno}: expected key = value")
-        key, raw = stripped.split("=", 1)
-        key = key.strip().lower()
-        values[key] = _parse_value(key, raw)
-    return values
+        if stripped:
+            yield stripped
 
 
-def parse_overrides(pairs) -> dict:
-    """Parse repeatable ``--set key=value`` flags."""
-    values = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise MissingKeyError(pair)
-        key, raw = pair.split("=", 1)
-        key = key.strip().lower()
-        values[key] = _parse_value(key, raw)
-    return values
+def _run_config(keys: dict, **fields) -> RunConfig:
+    """The RunConfig of a flat key dict, plus any ``fields`` that no key
+    sets (``initial_system``); ``_config_keys`` inverts it."""
+    return RunConfig(
+        spins=SpinParams(omega_s=keys["omega_s"], omega_m=keys["omega_m"],
+                         omega_a=keys["omega_a"]),
+        couplings=CouplingParams(
+            g_sm=keys["g_sm"], g_ma=keys["g_ma"], tau1=keys["tau1"],
+            tau2=keys["tau2"], gamma=keys["gamma"],
+            sm_interaction_kind=keys["sm_kind"],
+            aniso_strength=keys["aniso_strength"]),
+        thermal=ThermalSpec(beta=keys["beta"]), n_max=keys["n_max"], **fields)
 
 
-def _validate(values: dict) -> dict:
+def _config_keys(config: RunConfig) -> dict:
+    """The physical keys of a RunConfig, as ``params`` in the JSON files."""
+    keys = {**vars(config.spins), **vars(config.couplings),
+            **vars(config.thermal), "n_max": config.n_max}
+    keys["sm_kind"] = keys.pop("sm_interaction_kind")
+    return keys
+
+
+def load_config(path=None, cli_overrides: dict | None = None) -> ExperimentSpec:
+    """Build an ExperimentSpec from an optional file plus override values.
+
+    Override values win over file values; every key has a default matching
+    the resonant reference run. A sweep is rejected here when either end of
+    its grid has no valid configuration; every point between them has one.
+    """
     v = {key: default for key, (_, default) in _KEYS.items()}
-    v.update(values)
+    if path:
+        v.update(parse_overrides(_config_file_pairs(path)))
+    v.update(cli_overrides or {})
     if v["kind"] not in _KINDS:
         raise InvalidValueError("kind", f"must be one of {_KINDS}")
     formats = tuple(f.strip() for f in str(v["formats"]).split(",") if f.strip())
     if not formats or any(f not in ("csv", "json") for f in formats):
         raise InvalidValueError("formats", "must be a subset of csv,json")
-    v["formats"] = formats
+    grid = None
     if v["kind"] != SINGLE_RUN:
         lo, hi = _GRID_BOUNDS[v["kind"]]
         grid_min = lo if v["grid_min"] is None else v["grid_min"]
@@ -167,70 +196,20 @@ def _validate(values: dict) -> dict:
             raise InvalidValueError(
                 "grid_min" if grid_min < lo else "grid_max",
                 f"{v['kind']} grid must stay within [{lo}, {hi}]")
-        if v["kind"] == DETUNING_SWEEP and v["omega_m"] + grid_min <= 0:
-            raise InvalidValueError(
-                "grid_min", f"omega_s = omega_m + grid_min = "
-                            f"{v['omega_m'] + grid_min:g} must be > 0")
-        v["grid"] = np.linspace(grid_min, grid_max, v["grid_points"])
-    else:
-        v["grid"] = None
-    return v
-
-
-def load_config(path=None, cli_overrides: dict | None = None) -> ExperimentSpec:
-    """Build an ExperimentSpec from an optional file plus override values.
-
-    Flag overrides win over file values; every key has a default matching
-    the resonant reference run.
-    """
-    values = _read_config_file(path) if path else {}
-    values.update(cli_overrides or {})
-    v = _validate(values)
-
-    try:
-        spins = SpinParams(omega_s=v["omega_s"], omega_m=v["omega_m"],
-                           omega_a=v["omega_a"])
-        couplings = CouplingParams(
-            g_sm=v["g_sm"], g_ma=v["g_ma"], tau1=v["tau1"], tau2=v["tau2"],
-            gamma=v["gamma"], sm_interaction_kind=v["sm_kind"],
-            aniso_strength=v["aniso_strength"])
-        thermal = ThermalSpec(beta=v["beta"])
-        base = RunConfig(spins=spins, couplings=couplings, thermal=thermal,
-                         n_max=v["n_max"])
-    except ValueError as exc:
-        raise InvalidValueError("config", str(exc)) from exc
+        grid = np.linspace(grid_min, grid_max, v["grid_points"])
 
     out = v["output_dir"]
-    return ExperimentSpec(kind=v["kind"], base=base, grid=v["grid"],
-                          output_dir=Path(out) if out else Path("out"),
-                          formats=v["formats"])
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _params_dict(config: RunConfig) -> dict:
-    c = config.couplings
-    return {
-        "omega_s": config.spins.omega_s, "omega_m": config.spins.omega_m,
-        "omega_a": config.spins.omega_a,
-        "g_sm": c.g_sm, "g_ma": c.g_ma, "tau1": c.tau1, "tau2": c.tau2,
-        "beta": config.thermal.beta, "gamma": c.gamma,
-        "sm_kind": c.sm_interaction_kind, "aniso_strength": c.aniso_strength,
-        "n_max": config.n_max,
-    }
-
-
-def _summary_dict(result: RunResult,
-                  error: SingularMapError | InvariantDriftError | None = None) -> dict:
-    s = result.summary
-    payload = {"schema": SCHEMA_VERSION, "kind": SINGLE_RUN,
-               "params": _params_dict(result.config)}
-    payload.update(dataclasses.asdict(s))
-    payload["error"] = (None if error is None else
-                        {"step": error.step, "message": str(error)})
-    return payload
+    try:
+        spec = ExperimentSpec(kind=v["kind"], base=_run_config(v), grid=grid,
+                              output_dir=Path(out) if out else Path("out"),
+                              formats=formats)
+        # omega_s grows along a detuning grid, the phase bound with |omega_s|,
+        # and neither depends on gamma: if both ends build, every point does
+        for value in () if grid is None else (grid[0], grid[-1]):
+            sweep_point_config(spec, float(value))
+    except ValueError as exc:
+        raise InvalidValueError("config", str(exc)) from exc
+    return spec
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -253,6 +232,7 @@ def run_single(spec: ExperimentSpec, quiet: bool = False) -> int:
         error = exc
         result = exc.partial_result
 
+    s = result.summary
     if "csv" in spec.formats:
         c = result.columns
         table = np.column_stack([
@@ -268,10 +248,12 @@ def run_single(spec: ExperimentSpec, quiet: bool = False) -> int:
                 f.write((_COLLISION_ROW * len(rows))
                         % tuple(rows.ravel().tolist()))
     if "json" in spec.formats:
-        _write_json(spec.output_dir / "summary.json",
-                    _summary_dict(result, error))
+        _write_json(spec.output_dir / "summary.json", {
+            "schema": SCHEMA_VERSION, "kind": SINGLE_RUN,
+            "params": _config_keys(result.config), **dataclasses.asdict(s),
+            "error": (None if error is None else
+                      {"step": error.step, "message": str(error)})})
     if not quiet:
-        s = result.summary
         print(f"run: {len(result.columns['n'])} collisions analyzed; "
               f"I_RHP={s.i_rhp:.6g} I_LFS={s.i_lfs:.6g} sum_Nq={s.sum_nq:.6g}"
               + (f"; stopped at step {error.step}: {error}" if error else ""),
@@ -280,109 +262,92 @@ def run_single(spec: ExperimentSpec, quiet: bool = False) -> int:
 
 
 def sweep_point_config(spec: ExperimentSpec, value: float) -> RunConfig:
-    """Rebuild the run configuration for one grid value."""
-    base = spec.base
+    """The run configuration of one grid value: the base's keys with
+    ``omega_s = omega_m + value``, or with an anisotropic coupling at
+    ``gamma = value``, and the base's initial state."""
+    keys = _config_keys(spec.base)
     if spec.kind == DETUNING_SWEEP:
-        spins = dataclasses.replace(base.spins,
-                                    omega_s=base.spins.omega_m + value)
-        return dataclasses.replace(base, spins=spins)
-    couplings = dataclasses.replace(base.couplings,
-                                    sm_interaction_kind=ANISOTROPIC,
-                                    gamma=value)
-    return dataclasses.replace(base, couplings=couplings)
+        keys["omega_s"] = keys["omega_m"] + value
+    else:
+        keys.update(sm_kind=ANISOTROPIC, gamma=value)
+    return _run_config(keys, initial_system=spec.base.initial_system)
 
 
-def _sweep_chunk(configs) -> list[tuple[dict | None, str | None]]:
-    """Evolve a chunk of grid points together, then analyze them one by one.
+def _sweep_chunk(spec: ExperimentSpec, values: list[float]) -> list[dict]:
+    """Build and evolve a chunk of grid points together, then analyze them
+    one by one.
 
-    A chunk that cannot be evolved (a point's propagators cannot be built,
-    say) is evolved again one point at a time, so that only the points
-    that fail are recorded as failed.
+    A chunk that cannot be built or evolved (a point's configuration is
+    rejected, or its propagators cannot be built, say) is run again one
+    point at a time, so that only the points that fail are recorded as
+    failed.
     """
     try:
+        configs = [sweep_point_config(spec, value) for value in values]
         states, errors = evolve_runs(configs)
     except Exception as exc:  # per-point failures recorded, sweep continues
-        if len(configs) == 1:
-            return [(None, f"{type(exc).__name__}: {exc}")]
-        return [o for config in configs for o in _sweep_chunk([config])]
+        if len(values) == 1:
+            return [{"error": f"{type(exc).__name__}: {exc}"}]
+        return [o for value in values for o in _sweep_chunk(spec, [value])]
     outcomes = []
     for p, (config, error) in enumerate(zip(configs, errors)):
         try:
             s = analyze_evolved(config, states[:, p], error).summary
         except Exception as exc:  # per-point failures recorded, sweep continues
-            outcomes.append((None, f"{type(exc).__name__}: {exc}"))
+            outcomes.append({"error": f"{type(exc).__name__}: {exc}"})
         else:
-            outcomes.append(({"i_rhp": s.i_rhp, "i_lfs": s.i_lfs,
-                              "sum_nq": s.sum_nq,
-                              "implication_violations": s.implication_violations},
-                             None))
+            outcomes.append({"i_rhp": s.i_rhp, "i_lfs": s.i_lfs,
+                             "sum_nq": s.sum_nq,
+                             "implication_violations": s.implication_violations,
+                             "error": None})
     return outcomes
 
 
 def sweep_points(spec: ExperimentSpec, workers: int = 1) -> list[dict]:
     """Summary values of every grid point, in grid order, as in sweep.json.
 
-    Each point's configuration is built first; a point whose configuration
-    is rejected is recorded as failed and left out. The others are evolved
-    in contiguous chunks of at most ``SWEEP_CHUNK_BYTES`` of recorded system
-    history, each chunk as one stacked collision loop, and then analyzed one
-    at a time; a point whose propagators cannot be built fails alone. With
-    ``workers > 1`` the chunks run in a process pool; the values do not
-    depend on the worker count.
+    The points are built and evolved in contiguous chunks of at most
+    ``SWEEP_CHUNK_BYTES`` of recorded system history, each chunk as one
+    stacked collision loop, and then analyzed one at a time; a point whose
+    configuration is rejected or whose propagators cannot be built fails
+    alone. With ``workers > 1`` the chunks run in a process pool; the
+    values do not depend on the worker count.
     """
-    points = [{"grid_value": float(value)} for value in spec.grid]
-    runnable = []
-    for point in points:
-        try:
-            config = sweep_point_config(spec, point["grid_value"])
-        except Exception as exc:  # per-point failures recorded, sweep continues
-            point["error"] = f"{type(exc).__name__}: {exc}"
-        else:
-            runnable.append((point, config))
-
-    configs = [config for _, config in runnable]
+    values = [float(value) for value in spec.grid]
     # five trajectories of (n_max + 1) complex 2x2 states per point
     size = max(1, SWEEP_CHUNK_BYTES // (5 * (spec.base.n_max + 1) * 4 * 16))
-    chunks = [configs[i:i + size] for i in range(0, len(configs), size)]
+    chunks = [values[i:i + size] for i in range(0, len(values), size)]
+    run_chunk = functools.partial(_sweep_chunk, spec)
     if workers > 1:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(
                 max_workers=workers,
                 mp_context=multiprocessing.get_context("spawn")) as pool:
-            outcomes = [o for chunk in pool.map(_sweep_chunk, chunks) for o in chunk]
+            outcomes = [o for chunk in pool.map(run_chunk, chunks) for o in chunk]
     else:
-        outcomes = [o for chunk in chunks for o in _sweep_chunk(chunk)]
-    for (point, _), (summary, err) in zip(runnable, outcomes):
-        point.update(summary or {}, error=err)
-    return points
+        outcomes = [o for chunk in chunks for o in run_chunk(chunk)]
+    return [{"grid_value": value, **outcome}
+            for value, outcome in zip(values, outcomes)]
 
 
 def run_sweep(spec: ExperimentSpec, workers: int = 1, quiet: bool = False) -> int:
     """Execute every grid point and emit sweep.csv / sweep.json."""
     spec.output_dir.mkdir(parents=True, exist_ok=True)
     points = sweep_points(spec, workers)
-
-    failures = 0
-    csv_rows = [SWEEP_HEADER]
-    for point in points:
-        value, err = point["grid_value"], point["error"]
-        if err is not None:
-            failures += 1
-            marker = err.replace(",", ";").replace("\n", " ")
-            csv_rows.append(f"{_fmt(value)},nan,nan,nan,{marker}")
-        else:
-            csv_rows.append(
-                f"{_fmt(value)},{_fmt(point['i_rhp'])},"
-                f"{_fmt(point['i_lfs'])},{_fmt(point['sum_nq'])},")
+    failures = sum(point["error"] is not None for point in points)
 
     if "csv" in spec.formats:
-        (spec.output_dir / "sweep.csv").write_text(
-            "\n".join(csv_rows) + "\n", encoding="utf-8")
+        (spec.output_dir / "sweep.csv").write_text(SWEEP_HEADER + "\n" + "".join(
+            "%.17g,%.17g,%.17g,%.17g,%s\n" % (
+                p["grid_value"], p.get("i_rhp", np.nan), p.get("i_lfs", np.nan),
+                p.get("sum_nq", np.nan),
+                (p["error"] or "").replace(",", ";").replace("\n", " "))
+            for p in points), encoding="utf-8")
     if "json" in spec.formats:
         _write_json(spec.output_dir / "sweep.json", {
             "schema": SCHEMA_VERSION, "kind": spec.kind,
-            "params": _params_dict(spec.base),
+            "params": _config_keys(spec.base),
             "grid": [float(x) for x in spec.grid],
             "points": points, "failures": failures,
         })
@@ -420,9 +385,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        overrides = parse_overrides(args.set)
-        if args.format is not None:
-            overrides["formats"] = _parse_value("formats", args.format)
+        formats = [] if args.format is None else [f"formats={args.format}"]
+        overrides = parse_overrides(args.set + formats)
+        out = args.out or os.environ.get(OUTPUT_DIR_ENV)
+        if out:
+            overrides["output_dir"] = out
         spec = load_config(args.config, overrides)
         if args.command == "run" and spec.kind != SINGLE_RUN:
             raise InvalidValueError("kind", "the run subcommand requires single_run")
@@ -435,10 +402,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-
-    out = args.out or os.environ.get(OUTPUT_DIR_ENV)
-    if out:
-        spec = dataclasses.replace(spec, output_dir=Path(out))
 
     try:
         if args.command == "run":

@@ -14,9 +14,12 @@ whole-matrix Hermiticity deviation, the checked ``eigh`` decomposition, and
 trace norm, entropy and mutual information from ``eigvalsh`` spectra. The
 ``stacked_eigvalsh2`` function is ``linalg.eigvalsh2`` as it assembled its
 output with ``np.stack`` and took a given determinant; without one, the
-preallocating one must match it bit for bit.
+preallocating one must match it bit for bit. ``replaced_sweep_point_config``
+is ``cli.sweep_point_config`` as it rebuilt a grid point from the base
+configuration with nested ``dataclasses.replace``.
 """
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -116,7 +119,23 @@ def joint_history(configs, states, n_max):
         for u in (u_sm, u_ma):
             x = _half_step(x, u, u.conj().transpose(0, 2, 1), rho_a)
         history.append(x.transpose(0, 2, 1, 3))
-    return np.stack(history)
+    # C-contiguous, as the loop's check blocks are: numpy sums the diagonal
+    # of the transposed layout in another order, an ulp off in the trace
+    return np.ascontiguousarray(np.stack(history))
+
+
+def replaced_sweep_point_config(spec, value):
+    """The run configuration of one grid value of a detuning or anisotropy
+    sweep, replaced field by field in the spec's base configuration."""
+    base = spec.base
+    if spec.kind == "detuning_sweep":
+        spins = dataclasses.replace(base.spins,
+                                    omega_s=base.spins.omega_m + value)
+        return dataclasses.replace(base, spins=spins)
+    couplings = dataclasses.replace(base.couplings,
+                                    sm_interaction_kind=ANISOTROPIC,
+                                    gamma=value)
+    return dataclasses.replace(base, couplings=couplings)
 
 
 def cholesky_certified(states, shift):

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdqflux import cli, engine, model
 from kdqflux.analysis import analyze
@@ -14,9 +16,13 @@ from kdqflux.cli import (COLLISION_HEADER, SWEEP_HEADER, ExperimentSpec,
                          InvalidValueError, MissingKeyError, load_config,
                          main, parse_overrides, run_single, run_sweep,
                          sweep_point_config)
-from kdqflux.model import ANISOTROPIC
+from kdqflux.model import ANISOTROPIC, ISOTROPIC
+from oracles import replaced_sweep_point_config
 
 SWAP_TAU = np.pi / (2 * 0.2)
+# the keys that describe the experiment rather than the physics
+NON_PHYSICAL_KEYS = {"kind", "grid_min", "grid_max", "grid_points",
+                     "output_dir", "formats"}
 
 
 # ------------------------------------------------------------ configuration
@@ -47,6 +53,18 @@ formats = json
     assert spec.base.spins.omega_s == 0.8
     assert spec.base.n_max == 17
     assert spec.formats == ("json",)
+
+
+def test_config_file_with_byte_order_mark(tmp_path):
+    # editors that save UTF-8 with a BOM put U+FEFF before the first key
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfomega_s = 0.9\nn_max = 3\n")
+    spec = load_config(cfg)
+    assert spec.base.spins.omega_s == 0.9
+    assert spec.base.n_max == 3
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert json.loads((out / "summary.json").read_text())["params"]["omega_s"] == 0.9
 
 
 def test_overrides_win_over_file(tmp_path):
@@ -111,6 +129,61 @@ def test_sweep_point_config_rules():
     point = sweep_point_config(spec, 0.5)
     assert point.couplings.sm_interaction_kind == ANISOTROPIC
     assert point.couplings.gamma == 0.5
+
+
+@st.composite
+def physical_keys(draw):
+    """Physical keys of valid configurations, isotropic and anisotropic,
+    with ``aniso_strength`` unset or set."""
+    f = st.floats
+    return {
+        "omega_s": draw(f(0.5, 1.5)), "omega_m": draw(f(0.6, 1.5)),
+        "omega_a": draw(f(0.5, 1.5)), "g_sm": draw(f(0.0, 0.5)),
+        "g_ma": draw(f(0.0, 0.5)), "tau1": draw(f(0.0, 1.0)),
+        "tau2": draw(f(0.0, 1.0)), "beta": draw(f(0.0, 5.0)),
+        "gamma": draw(f(-1.0, 1.0)), "n_max": draw(st.integers(0, 2000)),
+        "sm_kind": draw(st.sampled_from([ISOTROPIC, ANISOTROPIC])),
+        "aniso_strength": draw(st.none() | f(-1.0, 1.0)),
+    }
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(keys=physical_keys())
+def test_keys_to_run_config_and_back_is_the_identity(keys):
+    assert cli._config_keys(cli._run_config(keys)) == keys
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(keys=physical_keys(),
+       kind=st.sampled_from(["detuning_sweep", "anisotropy_sweep"]),
+       at=st.floats(0.0, 1.0), polarized=st.booleans())
+def test_sweep_point_config_equals_field_by_field_replacement(keys, kind, at,
+                                                              polarized):
+    spec = load_config(None, {**keys, "kind": kind})
+    if polarized:   # a base built past load_config keeps its initial state
+        spec = dataclasses.replace(spec, base=dataclasses.replace(
+            spec.base, initial_system=np.diag([0.9, 0.1])))
+    value = float(spec.grid[0] + at * (spec.grid[-1] - spec.grid[0]))
+    got = sweep_point_config(spec, value)
+    want = replaced_sweep_point_config(spec, value)
+    for field in dataclasses.fields(engine.RunConfig):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert np.array_equal(a, b) if field.name == "initial_system" else a == b
+
+
+@pytest.mark.parametrize("command, name, args", [
+    ("run", "summary.json", ["--set", "n_max=3"]),
+    ("sweep", "sweep.json", ["--set", "kind=anisotropy_sweep", "--set", "n_max=3",
+                             "--set", "grid_points=2"]),
+])
+def test_json_params_are_the_physical_keys(tmp_path, command, name, args):
+    out = tmp_path / "out"
+    assert main([command, *args, "--set", "sm_kind=anisotropic",
+                 "--set", "aniso_strength=0.3", "--out", str(out), "--quiet"]) == 0
+    params = json.loads((out / name).read_text())["params"]
+    assert set(params) == set(cli._KEYS) - NON_PHYSICAL_KEYS
+    assert params["n_max"] == 3 and params["aniso_strength"] == 0.3
+    assert params["sm_kind"] == "anisotropic"
 
 
 # -------------------------------------------------------------- run command
@@ -193,6 +266,24 @@ def test_unresolvable_hamiltonian_is_a_configuration_error(tmp_path, capsys):
                                "'config': Hamiltonian too large for double "
                                "precision") for line in err)
     assert not out.exists()
+
+
+def test_oversized_anisotropy_sweep_is_a_configuration_error(tmp_path, capsys):
+    # aniso_strength acts only on the anisotropic grid points, not on the
+    # isotropic base: the grid's ends are checked before any point runs
+    out = tmp_path / "huge"
+    assert main(["sweep", "--set", "kind=anisotropy_sweep", "--set", "n_max=3",
+                 "--set", "grid_points=3", "--set", "aniso_strength=1e17",
+                 "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "configuration error: invalid value for key 'config': Hamiltonian "
+        "too large for double precision")
+    assert not out.exists()
+    with pytest.raises(InvalidValueError):
+        load_config(None, {"kind": "anisotropy_sweep", "aniso_strength": 1e17})
+    # an isotropic single run does not use the strength
+    spec = load_config(None, {"aniso_strength": 1e17})
+    assert spec.base.couplings.aniso_strength == 1e17
 
 
 def test_run_singular_flushes_partial_output_and_exits_2(tmp_path):

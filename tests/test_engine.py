@@ -185,15 +185,9 @@ def test_evolve_grid_drifting_point_fails_alone(monkeypatch):
 
 def _deviations(joint):
     """Hermiticity, trace and minimum-eigenvalue deviations (n_max + 1, k)
-    of a one-point joint history, taken collision by collision.
-
-    Each collision's states are made C-contiguous first, as the loop's are
-    when it checks them: numpy sums the diagonal of a contiguous stack in
-    another order than that of the history's transposed layout, which moves
-    the trace by an ulp."""
+    of a one-point joint history, taken collision by collision."""
     devs = []
     for states in joint[:, 0]:
-        states = np.ascontiguousarray(states)
         devs.append((hermiticity_max(states),
                      np.abs(np.trace(states, axis1=-2, axis2=-1) - 1.0),
                      np.linalg.eigvalsh(states).min(axis=-1)))
