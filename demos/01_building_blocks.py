@@ -2,30 +2,45 @@
 
 A system qubit S exchanges energy with a memory qubit M, which in turn
 collides with a fresh thermal environment qubit A each time step. This demo
-assembles the ingredients one by one: local Hamiltonians, the Heisenberg
-exchange interaction, thermal states, the two collision propagators, the
-probe states used for process tomography, the four numbers (a, b, c, d)
-that tomography reads off the evolved probes for every map of the model, and
-the Choi spectrum that the witnesses take from them.
+assembles the ingredients one by one: local Hamiltonians and the Heisenberg
+exchange interaction (with numpy, from the Pauli matrices), thermal states,
+the two collision propagators, the probe states used for process tomography
+(``PROBES``), the four numbers (a, b, c, d) that tomography reads off the
+evolved probes for every map of the model, the Choi spectrum that the
+witnesses take from them, and the entangled reference pair whose mutual
+information builds the LFS measure.
 """
 
 import numpy as np
 
-from kdqflux import (CouplingParams, RunConfig, SpinParams, ThermalSpec,
-                     collision_unitaries, heisenberg_interaction,
-                     local_hamiltonian, maximally_entangled_state,
-                     phase_covariant_maps, probe_states, qmi, thermal_state)
+from kdqflux import (PROBES, CouplingParams, RunConfig, SpinParams,
+                     ThermalSpec, collision_unitaries, lfs_series,
+                     phase_covariant_maps, thermal_state)
 from kdqflux.analysis import evolve_runs
-from kdqflux.model import IDENTITY_2, SIGMA_Z
-from kdqflux.tomography import bloch_vector, choi_eigenvalues
+from kdqflux.model import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
+from kdqflux.tomography import choi_eigenvalues
 
 np.set_printoptions(precision=4, suppress=True, linewidth=100)
 
+
+def bloch(rho):
+    """Bloch vector (Tr[sigma_x rho], Tr[sigma_y rho], Tr[sigma_z rho])."""
+    return np.array([np.trace(p @ rho).real for p in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
+
+
+def entropy(rho):
+    """Von Neumann entropy in bits."""
+    w = np.linalg.eigvalsh(rho)
+    w = w[w > 1e-15]
+    return float(-np.sum(w * np.log2(w)))
+
+
 print("=== local Hamiltonian (omega = 1) ===")
-print(local_hamiltonian(1.0).real)
+print((1.0 / 2.0 * SIGMA_Z).real)
 
 print("\n=== Heisenberg exchange, g = 0.2 ===")
-h_sm = heisenberg_interaction(0.2)
+h_sm = 0.2 / 2.0 * (np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Y, SIGMA_Y)
+                    + np.kron(SIGMA_Z, SIGMA_Z))
 print(h_sm.real)
 mag = np.kron(SIGMA_Z, IDENTITY_2) + np.kron(IDENTITY_2, SIGMA_Z)
 print("commutes with total z-magnetization:",
@@ -34,7 +49,7 @@ print("commutes with total z-magnetization:",
 print("\n=== thermal qubit at beta = 1, omega = 1 ===")
 rho_th = thermal_state(ThermalSpec(beta=1.0), 1.0)
 print(rho_th.real)
-print("Bloch vector:", bloch_vector(rho_th), " (z = -tanh(1/2) = %.4f)" % -np.tanh(0.5))
+print("Bloch vector:", bloch(rho_th), " (z = -tanh(1/2) = %.4f)" % -np.tanh(0.5))
 print("positive semidefinite:", np.linalg.eigvalsh(rho_th).min() >= 0.0)
 
 print("\n=== collision propagators (resonant reference parameters) ===")
@@ -53,8 +68,8 @@ print("U_SM |01;0> overlaps |10;0| with probability %.6f"
       % abs(out[4]) ** 2)
 
 print("\n=== tomography probes ===")
-for label, p in zip(("P0", "P1", "P+", "PR"), probe_states()):
-    print(f"{label}: bloch {bloch_vector(p)}")
+for label, p in zip(("P0", "P1", "P+", "PR"), PROBES):
+    print(f"{label}: bloch {bloch(p)}")
 
 print("\n=== the four numbers of a map ===")
 # every Hamiltonian term conserves excitation parity and the memory and
@@ -74,6 +89,13 @@ print("Choi blocks [[a, c], [c*, 1-b]] and [[1-a, d*], [d, b]]: "
 print("Choi eigenvalues, block by block:", choi_eigenvalues(swap)[0])
 
 print("\n=== maximally entangled reference pair ===")
-bell = maximally_entangled_state()
-print("purity %.3f, mutual information %.3f bits"
-      % (np.trace(bell @ bell).real, qmi(bell)))
+psi = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+bell = np.outer(psi, psi).astype(complex)
+marginals = bell.reshape(2, 2, 2, 2)
+i_bell = (entropy(np.einsum("iaja->ij", marginals))
+          + entropy(np.einsum("aiaj->ij", marginals)) - entropy(bell))
+print("purity %.3f, mutual information %.3f bits" % (np.trace(bell @ bell).real, i_bell))
+# the pipeline tracks this pair, the reference and the evolving system, along
+# the cumulative maps; its QMI increments build the LFS measure
+delta_i = lfs_series(phase_covariant_maps(states[:, 0, 1:]))
+print("one full swap changes it by %.3f bits (witnesses.lfs_series)" % delta_i[0])

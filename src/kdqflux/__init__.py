@@ -12,11 +12,9 @@ increments of a correlated reference (LFS), and the average energy change.
 from .analysis import RunResult, RunSummary, analyze
 from .engine import RunConfig, evolve_grid
 from .model import (CouplingParams, SpinParams, ThermalSpec,
-                    anisotropic_sm_interaction, collision_unitaries,
-                    heisenberg_interaction, local_hamiltonian,
-                    maximally_entangled_state, probe_states, thermal_state)
-from .tomography import (SingularMapError, bloch_vector, density_from_bloch,
-                         phase_covariant_maps, time_local_family)
-from .witnesses import WitnessRecord, lfs_series, qmi
+                    collision_unitaries, thermal_state)
+from .tomography import (PROBES, SingularMapError, phase_covariant_maps,
+                         time_local_family)
+from .witnesses import WitnessRecord, lfs_series
 
 __version__ = "0.1.0"

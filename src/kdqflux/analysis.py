@@ -21,15 +21,10 @@ import numpy as np
 
 from . import engine, tomography, witnesses
 from .engine import RunConfig
-from .model import probe_states
 from .witnesses import WitnessRecord
 
 # N_q, g_n and delta_i count as positive above this threshold.
 TOL_POS = 1e-10
-
-# The four tomography probes, evolved after the physical state of each run.
-_PROBES = np.stack(probe_states())
-_PROBES.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -55,7 +50,7 @@ class RunResult:
     """Everything the drivers and tests need from one analyzed run.
 
     ``states`` holds the (n + 1, 5, 2, 2) system states: the physical one,
-    then the probes P0, P1, P+ and PR in ``model.probe_states`` order.
+    then the probes P0, P1, P+ and PR of ``tomography.PROBES``.
     ``columns`` maps each WitnessRecord field to its (n,) array over
     collisions 1..n; ``family`` is the (n + 1, 4) stack of (a, b, c, d) of
     the cumulative maps, n = 0..n_max (``tomography.phase_covariant_maps``).
@@ -92,7 +87,7 @@ def evolve_runs(configs) -> tuple[np.ndarray,
     if any(not np.array_equal(c.initial_system, initial) for c in configs):
         raise ValueError("grid configurations must share the initial state")
     return engine.evolve_grid(
-        configs, np.concatenate([initial[np.newaxis], _PROBES]))
+        configs, np.concatenate([initial[np.newaxis], tomography.PROBES]))
 
 
 def analyze_evolved(config: RunConfig, states: np.ndarray,

@@ -6,6 +6,10 @@ stream of fresh environment qubits A. Conventions used throughout:
 * subsystem ordering is S (x) M (x) A for all 8-dimensional operators;
 * natural units, hbar = k_B = 1;
 * local Hamiltonians are (omega/2) sigma_z, so |0> carries energy +omega/2.
+
+The module holds the parameter dataclasses, the two collision propagators
+(``collision_unitaries``) and the Gibbs states of memory and environment
+(``thermal_state``); the tomography probes are ``tomography.PROBES``.
 """
 
 from dataclasses import dataclass
@@ -35,11 +39,6 @@ class SpinParams:
     omega_m: float = 1.0
     omega_a: float = 1.0
 
-    @property
-    def detuning(self) -> float:
-        """System-memory detuning omega_S - omega_M."""
-        return self.omega_s - self.omega_m
-
     def __post_init__(self):
         for name in ("omega_s", "omega_m", "omega_a"):
             if not np.isfinite(getattr(self, name)):
@@ -66,11 +65,6 @@ class CouplingParams:
     gamma: float = 0.0
     sm_interaction_kind: str = ISOTROPIC
     aniso_strength: float | None = None
-
-    @property
-    def tau(self) -> float:
-        """Duration of one full collision step."""
-        return self.tau1 + self.tau2
 
     def __post_init__(self):
         for name in ("g_sm", "g_ma", "tau1", "tau2", "aniso_strength"):
@@ -99,42 +93,17 @@ class ThermalSpec:
             raise ValueError(f"beta={self.beta:g} exceeds supported maximum {BETA_MAX:g}")
 
 
-def local_hamiltonian(omega: float) -> np.ndarray:
-    """(omega/2) sigma_z."""
-    return (omega / 2.0) * SIGMA_Z
-
-
-def heisenberg_interaction(g: float) -> np.ndarray:
-    """(g/2)(XX + YY + ZZ) on two qubits; conserves total z-magnetization."""
-    return (g / 2.0) * (np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Y, SIGMA_Y)
-                        + np.kron(SIGMA_Z, SIGMA_Z))
-
-
-def anisotropic_sm_interaction(gamma: float, strength: float = 1.0) -> np.ndarray:
-    """Anisotropic exchange (1-gamma)/2 XX + (1+gamma)/2 YY + ZZ, times ``strength``.
-
-    For gamma != 0 this breaks excitation-number conservation, which couples
-    the two coherence sectors of the reduced map.
-    """
-    if not -1.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma={gamma} outside [-1, 1]")
-    return strength * ((1.0 - gamma) / 2.0 * np.kron(SIGMA_X, SIGMA_X)
-                       + (1.0 + gamma) / 2.0 * np.kron(SIGMA_Y, SIGMA_Y)
-                       + np.kron(SIGMA_Z, SIGMA_Z))
-
-
 def _constant(m: np.ndarray) -> np.ndarray:
     """``m``, made read-only."""
     m.flags.writeable = False
     return m
 
 
-# Pauli products on S (x) M (x) A, built once with the Kronecker products
-# that the 2-qubit helpers above use. The propagators only scale and add
-# them; their Hamiltonians can differ from the Kronecker product of the
-# scaled helpers in the signs of zero entries, but not after the
-# symmetrization of ``exp_hermitian_generator``, so the propagators are the
-# same bits.
+# Pauli products on S (x) M (x) A, built once with Kronecker products. The
+# propagators only scale and add them; their Hamiltonians can differ from
+# Kronecker products of scaled 2-qubit Hamiltonians in the signs of zero
+# entries, but not after the symmetrization of ``exp_hermitian_generator``,
+# so the propagators are the same bits.
 _XX = np.kron(SIGMA_X, SIGMA_X)
 _YY = np.kron(SIGMA_Y, SIGMA_Y)
 _ZZ = np.kron(SIGMA_Z, SIGMA_Z)
@@ -204,19 +173,3 @@ def thermal_state(spec: ThermalSpec, omega: float) -> np.ndarray:
         w = np.exp(-spec.beta * np.array([omega / 2.0, -omega / 2.0]))
     w = np.isinf(w).astype(float) if np.isinf(w).any() else w / w.sum()
     return np.diag(w).astype(complex)
-
-
-def probe_states() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The four tomography probes P0, P1, P+, PR (rank-1 projectors)."""
-    p0 = np.array([[1, 0], [0, 0]], dtype=complex)
-    p1 = np.array([[0, 0], [0, 1]], dtype=complex)
-    p_plus = 0.5 * np.array([[1, 1], [1, 1]], dtype=complex)
-    p_r = 0.5 * np.array([[1, -1j], [1j, 1]], dtype=complex)
-    return p0, p1, p_plus, p_r
-
-
-def maximally_entangled_state() -> np.ndarray:
-    """Projector onto (|00> + |11>)/sqrt(2) on two qubits."""
-    psi = np.zeros(4, dtype=complex)
-    psi[0] = psi[3] = 1.0 / np.sqrt(2.0)
-    return np.outer(psi, psi.conj())

@@ -4,21 +4,29 @@ Every Hamiltonian term of the model conserves excitation parity, and the
 memory and environment states are diagonal, so every reduced map is phase
 covariant: in the matrix-element basis (rho_00, rho_01, rho_10, rho_11) its
 superoperator is [[a, 0, 0, b], [0, c, d, 0], [0, d*, c*, 0],
-[1-a, 0, 0, 1-b]], with a, b real. This module owns that format: a map is
-those four numbers, read off the evolved probe states, and a stack of maps
-is a (..., 4) complex array with the columns (a, b, c, d). On Bloch vectors
-a map takes z to m z + s, with m = a - b and s = a + b - 1, and the
-coherences (rho_01, rho_10) through K = [[c, d], [d*, c*]]; inverses and
-compositions follow in closed form for a whole stack at once. Its Choi
-matrix consists of the blocks [[a, c], [c*, 1-b]] and [[1-a, d*], [d, b]].
+[1-a, 0, 0, 1-b]], with a, b real. This module owns that format and the
+probe states ``PROBES`` it is read off: a map is those four numbers, read
+off the images of the probes, and a stack of maps is a (..., 4) complex
+array with the columns (a, b, c, d). On Bloch vectors a map takes z to
+m z + s, with m = a - b and s = a + b - 1, and the coherences
+(rho_01, rho_10) through K = [[c, d], [d*, c*]]; inverses and compositions
+follow in closed form for a whole stack at once. Its Choi matrix consists
+of the blocks [[a, c], [c*, 1-b]] and [[1-a, d*], [d, b]].
 """
 
 import numpy as np
 
 from .linalg import eigvalsh2
-from .model import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
-_PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+# The probes P0, P1, P+ and PR: the projectors onto |0>, |1>,
+# (|0> + |1>)/sqrt(2) and (|0> + i|1>)/sqrt(2), with the Bloch vectors
+# z, -z, x and y. The pipeline evolves them after the physical state of
+# each run, and ``phase_covariant_maps`` reads every map off their images.
+PROBES = np.stack([np.array([[1, 0], [0, 0]], dtype=complex),
+                   np.array([[0, 0], [0, 1]], dtype=complex),
+                   0.5 * np.array([[1, 1], [1, 1]], dtype=complex),
+                   0.5 * np.array([[1, -1j], [1j, 1]], dtype=complex)])
+PROBES.flags.writeable = False
 
 # A predecessor map with |det M| below SINGULAR_DET, or a Frobenius condition
 # estimate ||M||_F ||M^-1||_F above COND_THRESHOLD, cannot be inverted; M is
@@ -39,19 +47,8 @@ class SingularMapError(RuntimeError):
             f"condition estimate {cond:.3e}")
 
 
-def bloch_vector(rho: np.ndarray) -> np.ndarray:
-    """Bloch vector (Tr[sigma_x rho], Tr[sigma_y rho], Tr[sigma_z rho])."""
-    return np.array([np.trace(p @ rho).real for p in _PAULIS])
-
-
-def density_from_bloch(r: np.ndarray) -> np.ndarray:
-    """Density matrix (I + r . sigma)/2."""
-    r = np.asarray(r, dtype=float)
-    return 0.5 * (IDENTITY_2 + r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z)
-
-
 def phase_covariant_maps(probes: np.ndarray) -> np.ndarray:
-    """(a, b, c, d) of the maps that take (P0, P1, P+, PR) to ``probes``.
+    """(a, b, c, d) of the maps that take ``PROBES`` to ``probes``.
 
     ``probes`` holds the image states, shape (..., 4, 2, 2); the result has
     shape (..., 4): a = (1 + z(P0))/2, b = (1 + z(P1))/2,

@@ -24,11 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import eigvalsh2, hermiticity_deviation
 from .tomography import choi_eigenvalues
 
-# A state passed to qmi whose Hermiticity or trace error, or negative
-# eigenvalue, exceeds this is not a density matrix.
+# A reference-system state J/2 of ``lfs_series`` with an eigenvalue below
+# -DENSITY_TOL is not a density matrix.
 DENSITY_TOL = 1e-8
 
 
@@ -80,31 +79,6 @@ def _entropy_from_eigs(w: np.ndarray) -> np.ndarray:
     logs = np.zeros_like(w)
     np.log2(w, out=logs, where=w > 0.0)
     return -(w * logs).sum(axis=-1)
-
-
-def qmi(rho_ls: np.ndarray) -> np.ndarray:
-    """Quantum mutual information S(rho_L) + S(rho_S) - S(rho_LS), in bits.
-
-    ``rho_ls`` is a two-qubit state or a (..., 4, 4) stack of them; the
-    result has the stack's shape. The joint spectra come from ``eigvalsh``,
-    the marginal ones from the 2x2 formula ``linalg.eigvalsh2``. Raises
-    ValueError for the first state, in flattened stack order, that is not a
-    density matrix within ``DENSITY_TOL``.
-    """
-    rho_ls = np.asarray(rho_ls, dtype=complex)
-    herm = hermiticity_deviation(rho_ls)
-    traces = np.abs(np.trace(rho_ls, axis1=-2, axis2=-1) - 1.0)
-    w_ls = np.linalg.eigvalsh((rho_ls + rho_ls.conj().swapaxes(-1, -2)) / 2)
-    bad = (herm > DENSITY_TOL) | (traces > DENSITY_TOL) \
-        | (w_ls.min(axis=-1) < -DENSITY_TOL)
-    if bad.any():
-        raise ValueError(f"state {int(np.argmax(bad))} is not a valid density matrix")
-    four = rho_ls.reshape(rho_ls.shape[:-2] + (2, 2, 2, 2))
-    rho_l = np.einsum("...albl->...ab", four)
-    rho_s = np.einsum("...lalb->...ab", four)
-    s_l, s_s = (_entropy_from_eigs(eigvalsh2(r[..., 0, 0].real, r[..., 1, 1].real,
-                                             r[..., 1, 0])[0]) for r in (rho_l, rho_s))
-    return s_l + s_s - _entropy_from_eigs(w_ls)
 
 
 def lfs_series(family: np.ndarray) -> np.ndarray:

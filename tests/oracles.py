@@ -3,15 +3,18 @@
 The package computes every stage as one array pass over a run; these
 functions compute them one collision or one matrix at a time, or by the
 general route the package's closed forms specialize: the propagators as
-Kronecker products of the 2-qubit Hamiltonians, the Gibbs weights as they
-were before their overflow limit, the allocating collision loop and the
-LAPACK Cholesky certificate of its drift check, the Pauli-trace Bloch
-vectors and the maps and spectra the array pass took from them, the 3x3
-affine route of the tomography (maps r -> M r + c on
-Bloch vectors, adjugate inverses, 4x4 superoperators and Choi matrices,
+Kronecker products of the 2-qubit Hamiltonians (``local_hamiltonian``,
+``heisenberg_interaction``, ``anisotropic_sm_interaction``), the Gibbs
+weights as they were before their overflow limit, the allocating collision
+loop and the LAPACK Cholesky certificate of its drift check, the
+Pauli-trace Bloch vectors (and ``density_from_bloch`` back) and the maps
+and spectra the array pass took from them, the 3x3 affine route of the
+tomography (maps r -> M r + c on Bloch vectors, adjugate inverses, 4x4
+superoperators and Choi matrices,
 ``eigvalsh`` spectra), the defining two-point KDQ expression, the
 whole-matrix Hermiticity deviation, the checked ``eigh`` decomposition, and
-trace norm, entropy and mutual information from ``eigvalsh`` spectra. The
+trace norm, entropy and mutual information from ``eigvalsh`` spectra, with
+the maximally entangled state they start the LFS series from. The
 ``stacked_eigvalsh2`` function is ``linalg.eigvalsh2`` as it assembled its
 output with ``np.stack`` and took a given determinant; without one, the
 preallocating one must match it bit for bit. ``replaced_sweep_point_config``
@@ -29,8 +32,7 @@ from kdqflux import witnesses
 from kdqflux.linalg import (HERMITICITY_TOL, _require_hermitian,
                             exp_hermitian_generator)
 from kdqflux.model import (ANISOTROPIC, IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z,
-                           anisotropic_sm_interaction, heisenberg_interaction,
-                           local_hamiltonian, thermal_state)
+                           thermal_state)
 from kdqflux.tomography import SingularMapError, time_local_family
 
 # Eigenvalues in [-EIG_CLIP, 0] are treated as exact zeros (round-off from
@@ -47,9 +49,28 @@ def same_bits(a, b) -> bool:
 
 # ------------------------------------------------------------- collisions
 
+def local_hamiltonian(omega):
+    """(omega/2) sigma_z."""
+    return (omega / 2.0) * SIGMA_Z
+
+
+def heisenberg_interaction(g):
+    """(g/2)(XX + YY + ZZ) on two qubits; conserves total z-magnetization."""
+    return (g / 2.0) * (np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Y, SIGMA_Y)
+                        + np.kron(SIGMA_Z, SIGMA_Z))
+
+
+def anisotropic_sm_interaction(gamma, strength=1.0):
+    """Anisotropic exchange (1-gamma)/2 XX + (1+gamma)/2 YY + ZZ, times
+    ``strength``; for gamma != 0 it breaks excitation-number conservation."""
+    return strength * ((1.0 - gamma) / 2.0 * np.kron(SIGMA_X, SIGMA_X)
+                       + (1.0 + gamma) / 2.0 * np.kron(SIGMA_Y, SIGMA_Y)
+                       + np.kron(SIGMA_Z, SIGMA_Z))
+
+
 def kron_hamiltonians(spins, couplings):
     """The S-M and M-A Hamiltonians of ``model.collision_unitaries``, with
-    every S (x) M (x) A term a Kronecker product of 2-qubit ones."""
+    every S (x) M (x) A term a Kronecker product of the 2-qubit ones above."""
     h_free = (
         np.kron(np.kron(local_hamiltonian(spins.omega_s), IDENTITY_2), IDENTITY_2)
         + np.kron(np.kron(IDENTITY_2, local_hamiltonian(spins.omega_m)), IDENTITY_2)
@@ -161,6 +182,12 @@ def pauli_bloch_history(probes):
     """Bloch vectors Tr(sigma rho) of a (..., 2, 2) stack as one Pauli einsum."""
     pauli = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
     return np.einsum("pij,...ji->...p", pauli, probes).real
+
+
+def density_from_bloch(r):
+    """Density matrix (I + r . sigma)/2 of a Bloch vector."""
+    r = np.asarray(r, dtype=float)
+    return 0.5 * (IDENTITY_2 + r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z)
 
 
 def bloch_phase_covariant_maps(probe_blochs):
@@ -387,12 +414,13 @@ def affine_columns(states, omega_s):
     ``time_local_map`` of the affine family, its superoperator and Choi
     matrix come from ``affine_to_superoperator`` and ``choi``, the Choi
     spectra and those of the states J_n / 2 from ``eigvalsh``, ``N_q`` from
-    the superoperator entries, and ``residual`` from the entries outside
-    the phase covariant pattern. Keys are the WitnessRecord field names.
+    the superoperator entries, ``delta_i`` from ``qmi`` of each J_n / 2,
+    and ``residual`` from the entries outside the phase covariant pattern.
+    Keys are the WitnessRecord field names.
     """
     family = affine_family(states)
     sop_family = affine_to_superoperator(family)
-    delta_i = np.diff(witnesses.qmi(choi(sop_family) / 2.0))
+    delta_i = np.diff([qmi(j) for j in choi(sop_family) / 2.0])
     sops, error = [], None
     for n in range(1, len(states)):
         try:
@@ -502,6 +530,13 @@ def von_neumann_entropy(rho: np.ndarray, tol: float = HERMITICITY_TOL) -> float:
             "input is not a valid state")
     w = w[w > 0.0]
     return float(-np.sum(w * np.log2(w)))
+
+
+def maximally_entangled_state() -> np.ndarray:
+    """Projector onto (|00> + |11>)/sqrt(2) on two qubits."""
+    psi = np.zeros(4, dtype=complex)
+    psi[0] = psi[3] = 1.0 / np.sqrt(2.0)
+    return np.outer(psi, psi.conj())
 
 
 def qmi(rho_ls: np.ndarray) -> float:

@@ -9,9 +9,8 @@ from kdqflux.engine import RunConfig
 from kdqflux.model import (ANISOTROPIC, ISOTROPIC, CouplingParams, SpinParams,
                            ThermalSpec)
 from kdqflux.tomography import SingularMapError
-from kdqflux.witnesses import qmi
 from oracles import (affine_family, affine_to_superoperator, choi, kdq_general,
-                     pattern_superoperator, same_bits, time_local_map)
+                     pattern_superoperator, qmi, same_bits, time_local_map)
 
 SWAP_TAU = np.pi / (2 * 0.2)
 
@@ -51,7 +50,8 @@ def test_summary_totals_consistent(fig1_short):
 
 def test_delta_i_matches_lfs_series(fig1_short):
     # the QMI of the full Choi states J_n / 2 of the run's cumulative maps
-    delta = np.diff(qmi(choi(pattern_superoperator(fig1_short.family)) / 2))
+    chois = choi(pattern_superoperator(fig1_short.family))
+    delta = np.diff([qmi(j / 2) for j in chois])
     assert np.allclose(fig1_short.record_array("delta_i"), delta, atol=1e-13)
     i_lfs = delta[delta > fig1_short.summary.tol_pos].sum()
     assert fig1_short.summary.i_lfs == pytest.approx(i_lfs, abs=1e-13)

@@ -7,11 +7,10 @@ from kdqflux.engine import (CHECK_BLOCK, CHECK_STATES, DRIFT_TOL,
                             ROUNDING_MARGIN, InvariantDriftError, RunConfig,
                             _check_block, _ldl_certified, evolve_grid)
 from kdqflux.model import (ANISOTROPIC, CouplingParams, SpinParams,
-                           ThermalSpec, collision_unitaries, local_hamiltonian,
-                           probe_states, thermal_state)
-from kdqflux.tomography import COND_THRESHOLD, SINGULAR_DET
+                           ThermalSpec, collision_unitaries, thermal_state)
+from kdqflux.tomography import COND_THRESHOLD, PROBES, SINGULAR_DET
 from oracles import (cholesky_certified, exp_thermal_state, hermiticity_max,
-                     joint_history, partial_trace)
+                     joint_history, local_hamiltonian, partial_trace)
 
 I2 = np.eye(2, dtype=complex)
 SWAP_TAU1 = np.pi / (2 * 0.2)   # g_sm * tau1 = pi/2, full S-M swap
@@ -146,7 +145,7 @@ GRID = [
 
 
 def test_evolve_grid_equals_single_point_evolution_exactly():
-    states = np.concatenate([I2[np.newaxis] / 2, np.stack(probe_states())])
+    states = np.concatenate([I2[np.newaxis] / 2, PROBES])
     history, errors = evolve_grid(GRID, states)
     assert history.shape == (GRID_N_MAX + 1, len(GRID), len(states), 2, 2)
     assert errors == [None] * len(GRID)
@@ -155,7 +154,7 @@ def test_evolve_grid_equals_single_point_evolution_exactly():
 
 
 def test_evolve_grid_matches_allocating_reference_loop_bit_for_bit():
-    states = np.concatenate([I2[np.newaxis] / 2, np.stack(probe_states())])
+    states = np.concatenate([I2[np.newaxis] / 2, PROBES])
     joint = joint_history(GRID, states, GRID_N_MAX)
     # the memory trace, as the loop takes it from its recorded joint states
     want = np.einsum("ngkaibi->ngkab",
@@ -168,7 +167,7 @@ def test_evolve_grid_matches_allocating_reference_loop_bit_for_bit():
 
 def test_evolve_grid_drifting_point_fails_alone(monkeypatch):
     # under a 1e-14 bound every grid point drifts, each at its own step
-    states = np.stack(probe_states())
+    states = PROBES
     full, _ = evolve_grid(GRID, states)   # default bound
     monkeypatch.setattr(engine, "DRIFT_TOL", 1e-14)
     history, errors = evolve_grid(GRID, states)
@@ -205,8 +204,7 @@ def test_single_run_drift_is_found_across_its_longer_blocks(monkeypatch, block,
     assert size == 256
     n_max = 2 * size + 20
     config = RunConfig(n_max=n_max)
-    states = np.concatenate([config.initial_system[np.newaxis],
-                             np.stack(probe_states())])
+    states = np.concatenate([config.initial_system[np.newaxis], PROBES])
     herm, tr, min_eig = _deviations(joint_history([config], states, n_max))
     tol = float(max(herm[:first].max(), tr[:first].max(),
                     -min_eig[:first].min()))
@@ -229,7 +227,7 @@ def test_evolve_grid_non_finite_point_fails_alone(monkeypatch):
     # exp(beta omega_m / 2) of the memory's ground level overflows: the
     # memory state and every joint state of that point are NaN
     monkeypatch.setattr(model, "thermal_state", exp_thermal_state)
-    states = np.stack(probe_states())
+    states = PROBES
     overflow = RunConfig(spins=SpinParams(omega_m=1.5),
                          thermal=ThermalSpec(beta=1000.0), n_max=GRID_N_MAX)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -242,7 +240,7 @@ def test_evolve_grid_non_finite_point_fails_alone(monkeypatch):
 def test_evolve_grid_requires_a_shared_horizon():
     with pytest.raises(ValueError):
         evolve_grid([RunConfig(n_max=3), RunConfig(n_max=4)],
-                     np.stack(probe_states()))
+                     PROBES)
 
 
 # ------------------------------------------------------------- drift check
@@ -391,14 +389,14 @@ def test_drift_check_reports_the_first_bad_collision(defect, message):
 # ---------------------------------------------------------------- probes
 
 def test_probe_bundle_states_stay_valid():
-    for traj in evolve(fig1_config(n_max=30), np.stack(probe_states())):
+    for traj in evolve(fig1_config(n_max=30), PROBES):
         for rho in traj:
             assert abs(np.trace(rho) - 1.0) <= 1e-12
             assert np.min(np.linalg.eigvalsh(rho)) >= -1e-12
 
 
 def test_probe_bundle_diagonal_probes_stay_diagonal():
-    t0, t1, _, _ = evolve(fig1_config(n_max=60), np.stack(probe_states()))
+    t0, t1, _, _ = evolve(fig1_config(n_max=60), PROBES)
     for traj in (t0, t1):
         off = np.abs(traj[:, 0, 1])
         assert off.max() <= 1e-12
@@ -409,13 +407,13 @@ def test_probe_bundle_full_swap_maps_probes_to_thermal():
     config = fig1_config(
         couplings=CouplingParams(tau1=SWAP_TAU1), n_max=1)
     rho_m = thermal_state(config.thermal, 1.0)
-    for traj in evolve(config, np.stack(probe_states())):
+    for traj in evolve(config, PROBES):
         assert np.allclose(traj[1], rho_m, atol=1e-12)
 
 
 def test_probe_bundle_initial_states_are_probes():
-    bundle = evolve(fig1_config(n_max=0), np.stack(probe_states()))
-    for traj, probe in zip(bundle, probe_states()):
+    bundle = evolve(fig1_config(n_max=0), PROBES)
+    for traj, probe in zip(bundle, PROBES):
         assert np.allclose(traj[0], probe, atol=1e-14)
 
 
@@ -441,7 +439,7 @@ def test_run_config_rejects_non_integer_n_max(n_max):
 def test_run_config_stores_n_max_as_a_plain_int():
     config = RunConfig(n_max=np.int64(5))
     assert type(config.n_max) is int and config.n_max == 5
-    history, (error,) = evolve_grid([config], np.stack(probe_states()))
+    history, (error,) = evolve_grid([config], PROBES)
     assert error is None and history.shape[0] == 6
 
 

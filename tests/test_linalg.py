@@ -3,9 +3,10 @@ import pytest
 
 from kdqflux.linalg import (HERMITICITY_TOL, _require_hermitian, eigvalsh2,
                             exp_hermitian_generator, hermiticity_deviation)
-from kdqflux.model import SIGMA_X, SIGMA_Z, heisenberg_interaction
-from oracles import (hermitian_eig, hermiticity_max, partial_trace, same_bits,
-                     stacked_eigvalsh2, trace_norm, von_neumann_entropy)
+from kdqflux.model import SIGMA_X, SIGMA_Z
+from oracles import (heisenberg_interaction, hermitian_eig, hermiticity_max,
+                     partial_trace, same_bits, stacked_eigvalsh2, trace_norm,
+                     von_neumann_entropy)
 
 I2 = np.eye(2, dtype=complex)
 

@@ -10,17 +10,15 @@ import pytest
 from kdqflux.analysis import analyze, evolve_runs
 from kdqflux.engine import RunConfig, evolve_grid
 from kdqflux.model import (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z,
-                           CouplingParams, probe_states)
-from kdqflux.tomography import (SingularMapError, bloch_vector,
-                                density_from_bloch,
-                                det_and_condition, phase_covariant_maps,
-                                time_local_family)
+                           CouplingParams)
+from kdqflux.tomography import (PROBES, SingularMapError, det_and_condition,
+                                phase_covariant_maps, time_local_family)
 from oracles import (AffineBlochMap, affine_family, affine_to_superoperator,
                      apply_superoperator, bloch_phase_covariant_maps, choi,
-                     det3, frobenius_condition3, off_pattern_residual,
-                     pattern_entries, pattern_superoperator,
-                     pauli_bloch_history, reconstruct_affine, same_bits,
-                     time_local_map)
+                     density_from_bloch, det3, frobenius_condition3,
+                     off_pattern_residual, pattern_entries,
+                     pattern_superoperator, pauli_bloch_history,
+                     reconstruct_affine, same_bits, time_local_map)
 
 _PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 # Bloch vectors of the probe states, in the order (P0, P1, P+, PR)
@@ -104,16 +102,8 @@ def sop_loop_oracle(bloch_map: AffineBlochMap) -> np.ndarray:
 
 # ------------------------------------------------------------- Bloch basics
 
-def test_bloch_vector_roundtrip():
-    rng = np.random.default_rng(5)
-    for _ in range(5):
-        rho = random_density(rng)
-        assert np.allclose(density_from_bloch(bloch_vector(rho)), rho, atol=1e-14)
-
-
 def test_probe_bloch_constants():
-    for probe, expected in zip(probe_states(), PROBE_BLOCHS):
-        assert np.allclose(bloch_vector(probe), expected, atol=1e-14)
+    assert np.allclose(pauli_bloch_history(PROBES), PROBE_BLOCHS, atol=1e-14)
 
 
 def test_phase_covariant_maps_equal_the_pauli_trace_route_bit_for_bit():
@@ -125,7 +115,7 @@ def test_phase_covariant_maps_equal_the_pauli_trace_route_bit_for_bit():
     signed = np.array([0.0, -0.0, 1.0, -0.5, 2.0**-1074, -3.0, 1e307, -1e307])
     parts = rng.choice(signed, size=(2, 40, 4, 2, 2))
     # the unevolved probes with every zero part written as -0.0
-    negative_zeros = np.stack([np.stack(probe_states())] * 3)
+    negative_zeros = np.stack([PROBES] * 3)
     negative_zeros.real[negative_zeros.real == 0.0] = -0.0
     negative_zeros.imag[negative_zeros.imag == 0.0] = -0.0
     stacks = [evolved, negative_zeros, parts[0] + 1j * parts[1],
@@ -140,8 +130,21 @@ def test_phase_covariant_maps_equal_the_pauli_trace_route_bit_for_bit():
 # -------------------------------------------------------------- reconstruct
 
 def test_reconstruct_unevolved_probes_gives_identity():
-    assert np.array_equal(phase_covariant_maps(np.stack(probe_states())),
-                          IDENTITY)
+    # the probes have one owner: a read-only constant, from which the
+    # identity map is read bit for bit (Im d = -(x(PR) + y(P+))/2 is -0.0)
+    # and which the pipeline evolves as it is
+    identity = IDENTITY.copy()
+    identity.imag[3] = -0.0
+    assert same_bits(phase_covariant_maps(PROBES), identity)
+    assert not PROBES.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        PROBES[0, 0, 0] = 0.5
+    config = RunConfig(n_max=3)
+    states = analyze(config).states[:, 1:]
+    assert same_bits(states, evolve_grid([config], PROBES)[0][:, 0])
+    # the states at n = 0 are PROBES times the memory trace of the thermal
+    # memory state, which is 1 to within an ulp
+    assert np.abs(states[0] - PROBES).max() <= np.finfo(float).eps
 
 
 def test_reconstruct_full_swap_collision():
@@ -156,14 +159,13 @@ def test_reconstruct_full_swap_collision():
 
 def test_reconstruct_rejects_noncanonical_probes():
     # the four probes (P0, P1, P+, PR) fix the map; three do not
-    probes = np.stack(probe_states())
     with pytest.raises(ValueError):
-        phase_covariant_maps(probes[:3])
+        phase_covariant_maps(PROBES[:3])
     # a non-finite entry that a map reads raises, and so does an overflow:
     # x(P+) = 1e308 + 1e308
     for entries, value in ((((2, 0, 1),), np.nan), (((3, 1, 0),), np.inf * 1j),
                            (((0, 0, 0),), -np.inf), (((2, 0, 1), (2, 1, 0)), 1e308)):
-        bad = probes.copy()
+        bad = PROBES.copy()
         for entry in entries:
             bad[entry] = value
         with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
@@ -177,7 +179,7 @@ def test_reconstruct_matches_the_affine_route():
     family = analyze(RunConfig(n_max=60, couplings=CouplingParams(
         sm_interaction_kind="anisotropic", gamma=0.4))).family
     maps = np.concatenate([family, random_maps(rng, 20)])
-    probes = images(maps, np.stack(probe_states()))
+    probes = images(maps, PROBES)
     got = phase_covariant_maps(probes)
     assert np.abs(got - maps).max() <= 1e-15
     assert np.abs(got - pattern_of(reconstruct_affine(
@@ -280,7 +282,7 @@ def test_singular_scan_matches_the_affine_route():
     # the Bloch matrices of the run maps are those of the affine route
     runs = maps[300:]
     assert np.abs(m[300:] - reconstruct_affine(pauli_bloch_history(
-        images(runs, np.stack(probe_states())))).m).max() <= 1e-15
+        images(runs, PROBES))).m).max() <= 1e-15
 
 
 def test_singular_swap_reports_step_2_like_the_affine_route():
@@ -369,7 +371,7 @@ def test_superoperator_action_matches_affine_action():
         bm = random_map(rng)
         rho = random_density(rng)
         via_sop = apply_superoperator(affine_to_superoperator(bm), rho)
-        via_bloch = density_from_bloch(bm.m @ bloch_vector(rho) + bm.c)
+        via_bloch = density_from_bloch(bm.m @ pauli_bloch_history(rho) + bm.c)
         assert np.max(np.abs(via_sop - via_bloch)) <= 1e-12
 
 
