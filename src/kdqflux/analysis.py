@@ -7,7 +7,8 @@ pass (``analyze_evolved``); ``analyze`` composes the two for one run. The
 pass only orchestrates: ``tomography`` reads the four numbers (a, b, c, d)
 of every cumulative map off the probe states, finds the first singular
 predecessor and composes the step maps; ``witnesses`` takes delta_i from
-the cumulative maps and every other witness column from the step maps;
+the cumulative maps and every other witness column from the step maps,
+with the Choi spectra of both from one call (``witnesses.witness_columns``);
 ``summarize`` reduces the table. Record n describes collision n (the step
 from state n-1 to state n); its ``delta_i`` is the QMI change realized by
 that collision.
@@ -50,7 +51,8 @@ class RunResult:
     """Everything the drivers and tests need from one analyzed run.
 
     ``states`` holds the (n + 1, 5, 2, 2) system states: the physical one,
-    then the probes P0, P1, P+ and PR of ``tomography.PROBES``.
+    then the probes P0, P1, P+ and PR of ``tomography.PROBES``; at n = 0
+    they are ``config.initial_system`` and ``PROBES`` themselves.
     ``columns`` maps each WitnessRecord field to its (n,) array over
     collisions 1..n; ``family`` is the (n + 1, 4) stack of (a, b, c, d) of
     the cumulative maps, n = 0..n_max (``tomography.phase_covariant_maps``).
@@ -84,7 +86,7 @@ def evolve_runs(configs) -> tuple[np.ndarray,
     """
     configs = list(configs)
     initial = configs[0].initial_system
-    if any(not np.array_equal(c.initial_system, initial) for c in configs):
+    if any(not np.array_equal(c.initial_system, initial) for c in configs[1:]):
         raise ValueError("grid configurations must share the initial state")
     return engine.evolve_grid(
         configs, np.concatenate([initial[np.newaxis], tomography.PROBES]))
@@ -107,13 +109,11 @@ def analyze_evolved(config: RunConfig, states: np.ndarray,
     if error is not None:
         states = states[:error.step]
     family = tomography.phase_covariant_maps(states[:, 1:])
-    delta_i = witnesses.lfs_series(family)
     steps, singular = tomography.time_local_family(family)
+    columns = witnesses.witness_columns(family, steps, states[:len(steps), 0],
+                                        config.spins.omega_s)
     if singular is not None:
         error = singular
-    n = len(steps)
-    columns = witnesses.witness_columns(steps, states[:n, 0], delta_i[:n],
-                                        config.spins.omega_s)
     result = RunResult(
         config=config, states=states, family=family, columns=columns,
         summary=summarize(columns, n_max=config.n_max),
@@ -150,26 +150,26 @@ def summarize(columns, n_max: int) -> RunSummary:
     """
     columns = dict(columns) or {f.name: np.empty(0) for f in fields(WitnessRecord)}
     nq, g, delta_i, steps = (columns[k] for k in ("n_q", "g_n", "delta_i", "n"))
+    nq_pos, g_pos = nq > TOL_POS, g > TOL_POS
 
-    def first_last(values):
-        idx = steps[values > TOL_POS]
+    def first_last(positive):
+        idx = steps[positive]
         if idx.size == 0:
             return None, None
         return int(idx[0]), int(idx[-1])
 
-    first_nq, last_nq = first_last(nq)
-    first_g, last_g = first_last(g)
+    first_nq, last_nq = first_last(nq_pos)
+    first_g, last_g = first_last(g_pos)
     d = columns["d"]
     return RunSummary(
         n_max=n_max,
-        i_rhp=float(g[g > TOL_POS].sum()),
+        i_rhp=float(g[g_pos].sum()),
         i_lfs=float(delta_i[delta_i > TOL_POS].sum()),
-        sum_nq=float(nq[nq > TOL_POS].sum()),
+        sum_nq=float(nq[nq_pos].sum()),
         first_nq_positive=first_nq, last_nq_positive=last_nq,
         first_g_positive=first_g, last_g_positive=last_g,
-        implication_violations=int(np.sum(
-            (nq > TOL_POS) & (columns["choi_min_eig"] >= -TOL_POS))),
-        max_off_pattern_residual=float(
-            np.max(columns["residual"], initial=0.0)),
-        max_abs_d=float(np.max(np.hypot(d.real, d.imag), initial=0.0)),
+        implication_violations=int(np.count_nonzero(
+            nq_pos & (columns["choi_min_eig"] >= -TOL_POS))),
+        max_off_pattern_residual=float(columns["residual"].max(initial=0.0)),
+        max_abs_d=float(np.hypot(d.real, d.imag).max(initial=0.0)),
         tol_pos=TOL_POS)

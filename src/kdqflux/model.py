@@ -12,6 +12,8 @@ The module holds the parameter dataclasses, the two collision propagators
 (``thermal_state``); the tomography probes are ``tomography.PROBES``.
 """
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +32,9 @@ ANISOTROPIC = "anisotropic"
 # precision; reject instead of silently returning a rank-deficient state.
 BETA_MAX = 1e3
 
+# exp(x) overflows exactly for x above this double, log(DBL_MAX) rounded down
+_EXP_MAX = math.log(sys.float_info.max)
+
 
 @dataclass(frozen=True)
 class SpinParams:
@@ -41,7 +46,7 @@ class SpinParams:
 
     def __post_init__(self):
         for name in ("omega_s", "omega_m", "omega_a"):
-            if not np.isfinite(getattr(self, name)):
+            if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.omega_s <= 0:
             # at omega_s = 0 the energy basis of the KDQ witness is degenerate
@@ -69,7 +74,7 @@ class CouplingParams:
     def __post_init__(self):
         for name in ("g_sm", "g_ma", "tau1", "tau2", "aniso_strength"):
             value = getattr(self, name)
-            if value is not None and not np.isfinite(value):
+            if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
         if self.tau1 < 0 or self.tau2 < 0:
             raise ValueError("collision durations tau1, tau2 must be >= 0")
@@ -87,7 +92,7 @@ class ThermalSpec:
     beta: float = 1.0
 
     def __post_init__(self):
-        if not np.isfinite(self.beta) or self.beta < 0:
+        if not math.isfinite(self.beta) or self.beta < 0:
             raise ValueError("beta must be finite and >= 0")
         if self.beta > BETA_MAX:
             raise ValueError(f"beta={self.beta:g} exceeds supported maximum {BETA_MAX:g}")
@@ -155,7 +160,9 @@ def collision_unitaries(spins: SpinParams,
     else:
         h_sm = couplings.g_sm / 2.0 * _HEISENBERG_SM
     h_ma = couplings.g_ma / 2.0 * _HEISENBERG_MA
-    h = np.stack([h_free + h_sm, h_free + h_ma])
+    h = np.empty((2, 8, 8), dtype=complex)
+    np.add(h_free, h_sm, out=h[0])
+    np.add(h_free, h_ma, out=h[1])
     u_sm, u_ma = exp_hermitian_generator(
         h, np.array([[couplings.tau1], [couplings.tau2]]))
     return u_sm, u_ma
@@ -167,9 +174,15 @@ def thermal_state(spec: ThermalSpec, omega: float) -> np.ndarray:
     Diagonal in the computational basis; for omega > 0 the excited level is
     |0> so the ground population sits on |1>. Once beta |omega| / 2 is past
     the range of exp (about 709), the weight of the ground level overflows;
-    the state is then its exact limit, the pure ground state.
+    the state is then its exact limit, the pure ground state. The weights
+    are computed in double precision whatever the type of beta and omega.
     """
-    with np.errstate(over="ignore"):
-        w = np.exp(-spec.beta * np.array([omega / 2.0, -omega / 2.0]))
-    w = np.isinf(w).astype(float) if np.isinf(w).any() else w / w.sum()
-    return np.diag(w).astype(complex)
+    beta, omega = float(spec.beta), float(omega)
+    x0, x1 = -beta * (omega / 2.0), -beta * (-omega / 2.0)
+    if x0 > _EXP_MAX or x1 > _EXP_MAX:
+        w0, w1 = float(x0 > _EXP_MAX), float(x1 > _EXP_MAX)
+    else:
+        w0, w1 = np.exp([x0, x1]).tolist()
+        z = w0 + w1
+        w0, w1 = w0 / z, w1 / z
+    return np.array([[w0, 0.0], [0.0, w1]], dtype=complex)

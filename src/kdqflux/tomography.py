@@ -83,16 +83,22 @@ def choi_eigenvalues(maps: np.ndarray
     with the determinants of their two blocks [[a, c], [c*, 1-b]] and
     [[1-a, d*], [d, b]]: the CP margins a (1-b) - |c|^2 and
     (1-a) b - |d|^2, whose signs the small roots carry. The spectrum is that
-    of the blocks, by ``linalg.eigvalsh2``."""
+    of the blocks, by one ``linalg.eigvalsh2`` call over both."""
     a, b = maps[..., 0].real, maps[..., 1].real
-    w_c, det_c = eigvalsh2(a, 1.0 - b, maps[..., 2])
-    w_d, det_d = eigvalsh2(1.0 - a, b, maps[..., 3])
-    return np.concatenate([w_c, w_d], axis=-1), det_c, det_d
+    # the diagonals (a, 1-b) and (1-a, b) of the two blocks, side by side
+    p, q = np.empty(a.shape + (2,)), np.empty(a.shape + (2,))
+    p[..., 0] = a
+    np.subtract(1.0, a, out=p[..., 1])
+    np.subtract(1.0, b, out=q[..., 0])
+    q[..., 1] = b
+    w, det = eigvalsh2(p, q, maps[..., 2:])
+    return w.reshape(a.shape + (4,)), det[..., 0], det[..., 1]
 
 
-def det_and_condition(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def det_and_condition(maps: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """det M and the Frobenius condition estimate ||M||_F ||M^-1||_F of the
-    Bloch matrices M of a (..., 4) stack of maps.
+    Bloch matrices M of a (..., 4) stack of maps, and det K.
 
     M is block diagonal: m on z and a 2x2 block on (x, y) that is unitarily
     similar to K. So det M = m det K, ||M||_F^2 = m^2 + 2(|c|^2 + |d|^2) and
@@ -104,7 +110,7 @@ def det_and_condition(maps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     det_k, frob2 = c2 - d2, 2.0 * (c2 + d2)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         cond = np.sqrt((m ** 2 + frob2) * (1.0 / m ** 2 + frob2 / det_k ** 2))
-    return m * det_k, cond
+    return m * det_k, cond, det_k
 
 
 def time_local_family(family: np.ndarray
@@ -119,7 +125,7 @@ def time_local_family(family: np.ndarray
     condition estimate above ``COND_THRESHOLD`` (``det_and_condition``),
     and that step's SingularMapError is returned with it, else None.
     """
-    det, cond = det_and_condition(family[:-1])
+    det, cond, det_k = det_and_condition(family[:-1])
     small = np.abs(det) < SINGULAR_DET
     bad = small | (cond > COND_THRESHOLD)
     error = None
@@ -133,7 +139,7 @@ def time_local_family(family: np.ndarray
     a, b = family[:steps + 1, 0].real, family[:steps + 1, 1].real
     c, d = family[:steps + 1, 2], family[:steps + 1, 3]
     m, s = a - b, a + b - 1.0
-    det_k = np.abs(c[:-1]) ** 2 - np.abs(d[:-1]) ** 2
+    det_k = det_k[:steps]
     m_step = m[1:] / m[:-1]
     s_step = s[1:] - m_step * s[:-1]
     out = np.zeros((steps, 4), dtype=complex)

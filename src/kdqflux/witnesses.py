@@ -15,9 +15,9 @@ N_q > 0 requires a population-sector entry of the single-step map to leave
 [0, 1], which forces a negative Choi eigenvalue: non-positivity of the
 energy-change distribution witnesses a CP-divisibility violation.
 
-``witness_columns`` takes every column of a run's witness table from its
-step maps, ``lfs_series`` delta_i from its cumulative maps, both as array
-expressions over (a, b, c, d) stacks (``tomography``).
+``witness_columns`` takes a run's witness table from its cumulative and
+step maps, as array expressions over (a, b, c, d) stacks (``tomography``);
+``lfs_series`` is its delta_i column alone.
 """
 
 from dataclasses import dataclass
@@ -52,33 +52,31 @@ class WitnessRecord:
     choi_min_eig: float
 
 
-def witness_columns(steps: np.ndarray, rho_pre: np.ndarray,
-                    delta_i: np.ndarray, omega_s: float) -> dict[str, np.ndarray]:
+def witness_columns(family: np.ndarray, steps: np.ndarray, rho_pre: np.ndarray,
+                    omega_s: float) -> dict[str, np.ndarray]:
     """One array per WitnessRecord field, in its order, for the (n, 4) step
-    maps (a, b, c, d) of collisions 1..n on the (n, 2, 2) states ``rho_pre``
-    and the n QMI increments ``delta_i``. The KDQ values
+    maps (a, b, c, d) of collisions 1..n on the (n, 2, 2) states ``rho_pre``.
+    ``delta_i`` is ``lfs_series(family)[:n]`` of the cumulative maps
+    ``family``; the Choi spectra of both stacks come from one
+    ``choi_eigenvalues`` call. The KDQ values
     q[in, fin] = Tr[Pi_fin Lambda[Pi_in rho]] in the energy basis are
     a p0, (1-a) p0, b p1 and (1-b) p1; the CP margins are the Choi block
-    determinants of ``choi_eigenvalues``; ``residual`` is 0."""
+    determinants of ``choi_eigenvalues``; ``residual`` is 0. Raises like
+    ``lfs_series``."""
+    k = len(family)
+    w, c_margin, d_margin = choi_eigenvalues(np.concatenate([family, steps]))
+    delta_i = _qmi_increments(family, w[:k])
+    w, c_margin, d_margin = w[k:], c_margin[k:], d_margin[k:]
     a, b, c, d = steps[:, 0].real, steps[:, 1].real, steps[:, 2], steps[:, 3]
     p0, p1 = rho_pre[:, 0, 0].real, rho_pre[:, 1, 1].real
-    w, c_margin, d_margin = choi_eigenvalues(steps)
     return {"n": np.arange(1, len(a) + 1), "p0": p0, "p1": p1, "a": a, "b": b,
             "c": c, "d": d, "residual": np.zeros(len(a)),
             "n_q": np.abs(a * p0) + np.abs((1.0 - a) * p0)
             + np.abs(b * p1) + np.abs((1.0 - b) * p1) - 1.0,
-            "g_n": np.abs(w).sum(axis=-1) / 2.0 - 1.0, "delta_i": delta_i,
+            "g_n": np.abs(w).sum(axis=-1) / 2.0 - 1.0, "delta_i": delta_i[:len(a)],
             "avg_de": omega_s * ((a - 1.0) * p0 + b * p1),
             "c_abs2_margin": c_margin, "d_abs2_margin": d_margin,
             "choi_min_eig": w.min(axis=-1)}
-
-
-def _entropy_from_eigs(w: np.ndarray) -> np.ndarray:
-    """Batched -sum w log2 w with clipping of round-off negatives."""
-    w = np.clip(w, 0.0, None)
-    logs = np.zeros_like(w)
-    np.log2(w, out=logs, where=w > 0.0)
-    return -(w * logs).sum(axis=-1)
 
 
 def lfs_series(family: np.ndarray) -> np.ndarray:
@@ -93,7 +91,20 @@ def lfs_series(family: np.ndarray) -> np.ndarray:
     adds up the increments above its threshold into I_LFS. Raises ValueError
     for the first J/2 with an eigenvalue below -``DENSITY_TOL`` or not finite.
     """
-    w = choi_eigenvalues(family)[0] / 2.0
+    return _qmi_increments(family, choi_eigenvalues(family)[0])
+
+
+def _entropy_from_eigs(w: np.ndarray) -> np.ndarray:
+    """Batched -sum w log2 w with clipping of round-off negatives."""
+    w = np.maximum(w, 0.0)
+    logs = np.zeros(w.shape)
+    np.log2(w, out=logs, where=w > 0.0)
+    return -(w * logs).sum(axis=-1)
+
+
+def _qmi_increments(family: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``lfs_series``, given the Choi spectra ``w`` of ``family``."""
+    w = w / 2.0
     bad = ~(w.min(axis=-1) >= -DENSITY_TOL)   # a NaN eigenvalue is bad too
     if bad.any():
         raise ValueError(f"state {int(np.argmax(bad))} is not a valid density matrix")

@@ -10,16 +10,18 @@ loop and the LAPACK Cholesky certificate of its drift check, the
 Pauli-trace Bloch vectors (and ``density_from_bloch`` back) and the maps
 and spectra the array pass took from them, the 3x3 affine route of the
 tomography (maps r -> M r + c on Bloch vectors, adjugate inverses, 4x4
-superoperators and Choi matrices,
-``eigvalsh`` spectra), the defining two-point KDQ expression, the
-whole-matrix Hermiticity deviation, the checked ``eigh`` decomposition, and
-trace norm, entropy and mutual information from ``eigvalsh`` spectra, with
-the maximally entangled state they start the LFS series from. The
-``stacked_eigvalsh2`` function is ``linalg.eigvalsh2`` as it assembled its
-output with ``np.stack`` and took a given determinant; without one, the
-preallocating one must match it bit for bit. ``replaced_sweep_point_config``
-is ``cli.sweep_point_config`` as it rebuilt a grid point from the base
-configuration with nested ``dataclasses.replace``.
+superoperators and Choi matrices, ``eigvalsh`` spectra), the defining
+two-point KDQ expression, the whole-matrix Hermiticity deviation, the
+checked ``eigh`` decomposition, and trace norm, entropy and mutual
+information from ``eigvalsh`` spectra (``qmi`` per state, ``stacked_qmi``
+for a stack), with the maximally entangled state they start the LFS series
+from. ``eigvalsh_density_check`` is ``RunConfig``'s initial-state check as
+it took ``eigvalsh``. The ``stacked_eigvalsh2`` function is
+``linalg.eigvalsh2`` as it assembled its output with ``np.stack`` and took
+a given determinant; without one, the preallocating one must match it bit
+for bit. ``replaced_sweep_point_config`` is ``cli.sweep_point_config`` as
+it rebuilt a grid point from the base configuration with nested
+``dataclasses.replace``.
 """
 
 import dataclasses
@@ -414,13 +416,13 @@ def affine_columns(states, omega_s):
     ``time_local_map`` of the affine family, its superoperator and Choi
     matrix come from ``affine_to_superoperator`` and ``choi``, the Choi
     spectra and those of the states J_n / 2 from ``eigvalsh``, ``N_q`` from
-    the superoperator entries, ``delta_i`` from ``qmi`` of each J_n / 2,
+    the superoperator entries, ``delta_i`` from ``stacked_qmi`` of the J_n / 2,
     and ``residual`` from the entries outside the phase covariant pattern.
     Keys are the WitnessRecord field names.
     """
     family = affine_family(states)
     sop_family = affine_to_superoperator(family)
-    delta_i = np.diff([qmi(j) for j in choi(sop_family) / 2.0])
+    delta_i = np.diff(stacked_qmi(choi(sop_family) / 2.0))
     sops, error = [], None
     for n in range(1, len(states)):
         try:
@@ -544,3 +546,48 @@ def qmi(rho_ls: np.ndarray) -> float:
     s_l = von_neumann_entropy(partial_trace(rho_ls, [2, 2], keep=[0]))
     s_s = von_neumann_entropy(partial_trace(rho_ls, [2, 2], keep=[1]))
     return s_l + s_s - von_neumann_entropy(rho_ls)
+
+
+def _stacked_entropies(w: np.ndarray) -> np.ndarray:
+    """-sum w log2 w over the positive members of each row of ``w``."""
+    positive = w > 0.0
+    logs = np.log2(w, out=np.zeros_like(w), where=positive)
+    return -np.where(positive, w * logs, 0.0).sum(axis=-1)
+
+
+def stacked_qmi(rho_ls: np.ndarray) -> np.ndarray:
+    """``qmi`` of every member of an (N, 4, 4) stack, with the same checks:
+    one ``eigvalsh`` over the states and one over their 2N 2x2 marginals."""
+    h = _require_hermitian(rho_ls, HERMITICITY_TOL, "stacked_qmi")
+    tr = np.trace(h, axis1=-2, axis2=-1)
+    if (np.abs(tr - 1.0) > 1e-10).any():
+        raise ValueError(f"stacked_qmi: a trace is {tr[np.argmax(np.abs(tr - 1.0))]:.6g}, "
+                         "expected 1")
+    t = h.reshape(-1, 2, 2, 2, 2)
+    # the marginals of L (trace over S) and of S (trace over L)
+    marginals = np.concatenate([np.einsum("nijkj->nik", t),
+                                np.einsum("nijil->njl", t)])
+    w_ls, w_m = np.linalg.eigvalsh(h), np.linalg.eigvalsh(marginals)
+    low = min(w_ls.min(initial=0.0), w_m.min(initial=0.0))
+    if low < -EIG_CLIP:
+        raise ValueError(f"stacked_qmi: eigenvalue {low:.3e} below -{EIG_CLIP:g}; "
+                         "input is not a valid state")
+    s_m = _stacked_entropies(w_m)
+    n = len(h)
+    return s_m[:n] + s_m[n:] - _stacked_entropies(w_ls)
+
+
+def eigvalsh_density_check(rho) -> str | None:
+    """The message with which ``engine.RunConfig`` rejected an initial
+    state when it checked it with numpy calls and ``eigvalsh``, or None
+    where it accepted it."""
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (2, 2):
+        return "initial_system must be a 2x2 density matrix"
+    if not np.isfinite(rho).all():
+        return "initial_system entries must be finite"
+    if (np.max(np.abs(rho - rho.conj().T)) > 1e-8
+            or abs(np.trace(rho) - 1.0) > 1e-8
+            or np.linalg.eigvalsh((rho + rho.conj().T) / 2).min() < -1e-8):
+        return "initial_system is not a valid density matrix"
+    return None

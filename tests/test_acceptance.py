@@ -123,7 +123,9 @@ def _nonpositivity(a: float, b: float, p0: float) -> float:
     """N_q of the phase covariant step map (a, b) on diag(p0, 1 - p0)."""
     step = np.array([[a, b, 0.0, 0.0]], dtype=complex)   # (a, b, c, d)
     rho = np.diag([p0, 1.0 - p0]).astype(complex)
-    columns = witness_columns(step, rho[np.newaxis], np.zeros(1), 1.0)
+    # cumulative maps: the identity twice, so delta_i = 0
+    family = np.array([[1.0, 0.0, 1.0, 0.0]] * 2, dtype=complex)
+    columns = witness_columns(family, step, rho[np.newaxis], 1.0)
     return float(columns["n_q"][0])
 
 

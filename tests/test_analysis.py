@@ -228,15 +228,20 @@ def test_nq_on_cp_rows_bounds_the_accuracy(config, cp_rows, measured):
 
 
 def test_array_pass_takes_no_eigendecomposition(monkeypatch):
-    # every spectrum of the array pass comes from 2x2 blocks in closed form
-    config = RunConfig(n_max=120, couplings=CouplingParams(
-        sm_interaction_kind=ANISOTROPIC, gamma=-0.4))
+    # every spectrum of the array pass comes from 2x2 blocks in closed form,
+    # and so does the minimum eigenvalue of RunConfig's initial state
+    couplings = CouplingParams(sm_interaction_kind=ANISOTROPIC, gamma=-0.4)
+    config = RunConfig(n_max=120, couplings=couplings)
     states, (error,) = evolve_runs([config])
     want = analyze_evolved(config, states[:, 0], error)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("eigendecomposition in the array pass")
+        raise AssertionError("eigendecomposition in the array pass or validation")
     for name in ("eigvalsh", "eigh", "eigvals", "eig"):
         monkeypatch.setattr(np.linalg, name, forbidden)
     got = analyze_evolved(config, states[:, 0], error)
     assert got.records == want.records
+    RunConfig(n_max=120, couplings=couplings)
+    RunConfig(initial_system=np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
+    with pytest.raises(ValueError, match="not a valid density matrix"):
+        RunConfig(initial_system=np.array([[0.5, 0.6], [0.6, 0.5]]))

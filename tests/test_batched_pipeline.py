@@ -17,7 +17,9 @@ from kdqflux.analysis import analyze, analyze_evolved, evolve_runs, summarize
 from kdqflux.engine import InvariantDriftError, RunConfig
 from kdqflux.model import (ANISOTROPIC, ISOTROPIC, CouplingParams, SpinParams,
                            ThermalSpec)
-from kdqflux.tomography import SingularMapError, time_local_family
+from kdqflux.tomography import (SingularMapError, choi_eigenvalues,
+                                phase_covariant_maps, time_local_family)
+from kdqflux.witnesses import lfs_series, witness_columns
 import oracles
 from oracles import (affine_to_superoperator, choi, density_from_bloch,
                      pattern_superoperator)
@@ -120,7 +122,7 @@ def _assert_spectra_match_eigvalsh(result) -> None:
     assert (np.abs(cols["choi_min_eig"] - w[:, 0]) <= scale).all()
     # QMI of J_n / 2 through eigvalsh entropies
     chois = choi(pattern_superoperator(result.family))
-    qmis = np.array([oracles.qmi(j / 2) for j in chois])
+    qmis = oracles.stacked_qmi(chois / 2)
     n = len(result.records)
     # -w log2 w has no Lipschitz bound at w = 0. Where a state J_n / 2 of the
     # row is rank deficient (tau1 = 0 keeps them pure), each of the row's 16
@@ -404,3 +406,44 @@ def test_array_pass_equals_the_bloch_route_bit_for_bit():
         assert repr(error) == repr(want_error)
         steps.append(error and error.step)
     assert steps[4] == 2 and steps.count(None) == len(configs) - 1
+
+
+def test_one_pass_columns_equal_the_two_stage_composition():
+    # witness_columns takes the Choi spectra of the cumulative and the step
+    # maps from one call over both stacks; its columns are the bits of the
+    # stages run apart: delta_i of lfs_series(family), the spectrum columns
+    # of choi_eigenvalues(steps) alone, and the rest under identity
+    # cumulative maps
+    rng = np.random.default_rng(18)
+    configs = [
+        RunConfig(),
+        RunConfig(couplings=CouplingParams(sm_interaction_kind=ANISOTROPIC, gamma=-0.4)),
+        RunConfig(couplings=CouplingParams(tau1=SWAP_TAU)),
+        RunConfig(n_max=0),
+    ] + [_random_short_config(rng) for _ in range(20)]
+    identity = np.array([1.0, 0.0, 1.0, 0.0], dtype=complex)
+    lengths = []
+    for config in configs:
+        states, (error,) = evolve_runs([config])
+        assert error is None
+        states = states[:, 0]
+        try:
+            result = analyze_evolved(config, states)
+        except SingularMapError as exc:
+            result = exc.partial_result
+        family = phase_covariant_maps(states[:, 1:])
+        steps, _ = time_local_family(family)
+        n = len(steps)
+        rho_pre, omega_s = states[:n, 0], config.spins.omega_s
+        want = witness_columns(np.tile(identity, (n + 1, 1)), steps, rho_pre, omega_s)
+        w, c_margin, d_margin = choi_eigenvalues(steps)
+        want.update(delta_i=lfs_series(family)[:n],
+                    g_n=np.abs(w).sum(axis=-1) / 2.0 - 1.0, choi_min_eig=w.min(axis=-1),
+                    c_abs2_margin=c_margin, d_abs2_margin=d_margin)
+        for got in (witness_columns(family, steps, rho_pre, omega_s), result.columns):
+            assert list(got) == list(want)
+            for name in want:
+                assert oracles.same_bits(got[name], want[name]), name
+        lengths.append(n)
+    # the swap stops at its singular step 2; n_max = 0 has no collisions
+    assert lengths[:4] == [1000, 1000, 1, 0]

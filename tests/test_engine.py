@@ -9,8 +9,9 @@ from kdqflux.engine import (CHECK_BLOCK, CHECK_STATES, DRIFT_TOL,
 from kdqflux.model import (ANISOTROPIC, CouplingParams, SpinParams,
                            ThermalSpec, collision_unitaries, thermal_state)
 from kdqflux.tomography import COND_THRESHOLD, PROBES, SINGULAR_DET
-from oracles import (cholesky_certified, exp_thermal_state, hermiticity_max,
-                     joint_history, local_hamiltonian, partial_trace)
+from oracles import (cholesky_certified, eigvalsh_density_check,
+                     exp_thermal_state, hermiticity_max, joint_history,
+                     local_hamiltonian, partial_trace)
 
 I2 = np.eye(2, dtype=complex)
 SWAP_TAU1 = np.pi / (2 * 0.2)   # g_sm * tau1 = pi/2, full S-M swap
@@ -156,9 +157,11 @@ def test_evolve_grid_equals_single_point_evolution_exactly():
 def test_evolve_grid_matches_allocating_reference_loop_bit_for_bit():
     states = np.concatenate([I2[np.newaxis] / 2, PROBES])
     joint = joint_history(GRID, states, GRID_N_MAX)
-    # the memory trace, as the loop takes it from its recorded joint states
+    # the memory trace, as the loop takes it from its recorded joint states,
+    # for n >= 1; at n = 0 the input states themselves
     want = np.einsum("ngkaibi->ngkab",
                      joint.reshape(joint.shape[:3] + (2, 2, 2, 2)))
+    want[0] = states
     got, _ = evolve_grid(GRID, states)
     assert np.array_equal(got, want)
     for part in (np.real, np.imag):
@@ -428,6 +431,69 @@ def test_run_config_rejects_bad_initial_state():
         RunConfig(n_max=-1)
     with pytest.raises(ValueError, match="finite"):
         RunConfig(initial_system=np.array([[np.nan, 0], [0, 1.0]]))
+
+
+def _rotated(eigenvalues, rng):
+    """diag(eigenvalues) in a random basis."""
+    q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    return q @ np.diag(eigenvalues).astype(complex) @ q.conj().T
+
+
+def _initial_state_message(rho):
+    try:
+        RunConfig(initial_system=rho, n_max=0)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def test_closed_form_initial_state_check_matches_eigvalsh():
+    """RunConfig checks its 2x2 initial state in closed form; it accepts
+    and rejects what the numpy and ``eigvalsh`` check did, with its
+    message, a relative 1e-6 of DRIFT_TOL inside and outside each bound."""
+    rng = np.random.default_rng(41)
+    inside, outside = DRIFT_TOL * (1 - 1e-6), DRIFT_TOL * (1 + 1e-6)
+    pairs = []   # (state just inside a bound, state just outside it)
+    for _ in range(20):
+        lam = rng.uniform(0.1, 0.9)
+        base = _rotated([lam, 1.0 - lam], rng)
+        # minimum eigenvalue -t
+        pairs.append([_rotated([-t, 1.0 + t], rng) for t in (inside, outside)])
+        # trace 1 + t and 1 - t
+        for sign in (1.0, -1.0):
+            pairs.append([_rotated([lam, 1.0 - lam + sign * t], rng)
+                          for t in (inside, outside)])
+        # |rho - rho^H| of t, off the diagonal and on it
+        phase = np.exp(2j * np.pi * rng.random())
+        pairs.append([base + np.array([[0, t * phase], [0, 0]]) for t in (inside, outside)])
+        pairs.append([base + np.array([[0.5j * t, 0], [0, 0]]) for t in (inside, outside)])
+    pairs.append([np.diag([-t, 1.0 + t]).astype(complex) for t in (inside, outside)])
+    for accepted, rejected in pairs:
+        assert _initial_state_message(accepted) is None
+        assert eigvalsh_density_check(accepted) is None
+        assert (_initial_state_message(rejected) == eigvalsh_density_check(rejected)
+                == "initial_system is not a valid density matrix")
+    # non-finite entries, anywhere
+    for value in (np.nan, np.inf, -np.inf, 1j * np.inf, complex(0.0, np.nan)):
+        for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            rho = 0.5 * I2
+            rho[i, j] = value
+            assert (_initial_state_message(rho) == eigvalsh_density_check(rho)
+                    == "initial_system entries must be finite")
+    # and states far from either bound
+    for _ in range(200):
+        rho = rng.uniform(-1, 1, (2, 2)) + 1j * rng.uniform(-1, 1, (2, 2)) * rng.random()
+        rho = (rho + rho.conj().T) / 2 if rng.random() < 0.5 else rho
+        rho = rho / np.trace(rho) if rng.random() < 0.5 else rho
+        assert _initial_state_message(rho) == eigvalsh_density_check(rho)
+
+
+def test_run_config_rejects_an_overflowing_coherence():
+    # the Hermitian part of this state overflows to infinite coherences;
+    # eigvalsh gave NaN eigenvalues for it, which the check accepted
+    rho = np.array([[0.5, 1e308], [1e308, 0.5]], dtype=complex)
+    with pytest.raises(ValueError, match="not a valid density matrix"):
+        RunConfig(initial_system=rho)
 
 
 @pytest.mark.parametrize("n_max", [10.0, True, False, "5", np.float64(5.0)])

@@ -234,6 +234,19 @@ def test_thermal_state_coherences_are_exact_zeros():
                 assert rho[0, 1] == 0.0 and rho[1, 0] == 0.0, (omega, beta)
 
 
+def test_thermal_state_computes_in_double_for_any_number_type():
+    # the same bits as for the same values as floats; float32 weights
+    # would overflow from beta |omega| / 2 = 88.7 on
+    for beta, omega in ((200.0, 1.0), (0.7, 1.3), (1e3, -2.0)):
+        for kind in (np.float32, np.float64, np.longdouble):
+            b, w = kind(beta), kind(omega)
+            want = thermal_state(ThermalSpec(beta=float(b)), float(w))
+            assert same_bits(thermal_state(ThermalSpec(beta=b), w), want), (kind, beta)
+    assert thermal_state(ThermalSpec(beta=np.float32(200.0)), np.float32(1.0))[0, 0] > 0.0
+    assert same_bits(thermal_state(ThermalSpec(beta=2), 1),
+                     thermal_state(ThermalSpec(beta=2.0), 1.0))
+
+
 def test_thermal_state_keeps_the_exp_weights_and_takes_the_overflow_limit():
     """Bit for bit the normalized exp weights wherever they are finite; once
     the weight of the ground level overflows, the pure ground state, the

@@ -3,8 +3,9 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from kdqflux.analysis import summarize
-from kdqflux.model import thermal_state, ThermalSpec
+from kdqflux.analysis import analyze, summarize
+from kdqflux.engine import RunConfig
+from kdqflux.model import CouplingParams, thermal_state, ThermalSpec
 from kdqflux.witnesses import WitnessRecord, lfs_series, witness_columns
 import oracles
 from oracles import (AffineBlochMap, affine_to_superoperator,
@@ -24,11 +25,13 @@ def pattern_sop(a: float, b: float, c: complex = 0.3, d: complex = 0.0) -> np.nd
 
 def witness_rows(sops, rho_pre, omega_s: float = 1.0) -> dict:
     """``witness_columns`` of the pattern entries (a, b, c, d) of step-map
-    superoperators acting on states, by field name."""
+    superoperators acting on states, by field name, with identity
+    cumulative maps (delta_i = 0)."""
     steps = pattern_entries(np.asarray(sops, dtype=complex).reshape(-1, 4, 4))
     rho_pre = np.broadcast_to(np.asarray(rho_pre, dtype=complex),
                               (len(steps), 2, 2))
-    return witness_columns(steps, rho_pre, np.zeros(len(steps)), omega_s)
+    family = np.tile(IDENTITY, (len(steps) + 1, 1))
+    return witness_columns(family, steps, rho_pre, omega_s)
 
 
 def zero_table(n: int) -> dict:
@@ -266,6 +269,33 @@ def test_qmi_full_swap_channel_is_product():
     j = choi(affine_to_superoperator(bm))
     assert np.allclose(j / 2, np.kron(np.eye(2) / 2, rho_th), atol=1e-12)
     assert qmi(j / 2) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_stacked_qmi_matches_the_per_state_qmi():
+    # one eigvalsh over the states and one over their marginals gives what
+    # qmi gives state by state (measured: the same bits), on random states
+    # of every rank and on the rank-deficient states of the LFS series
+    rng = np.random.default_rng(31)
+    states = []
+    for rank in (1, 2, 3, 4):
+        for _ in range(25):
+            g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+            states.append(g @ g.conj().T / np.linalg.norm(g) ** 2)
+    product = np.kron(np.diag([1.0, 0.0]), np.diag([0.3, 0.7])).astype(complex)
+    states += [product, maximally_entangled_state(), np.eye(4, dtype=complex) / 4]
+    # the states J_n / 2 of two runs; at tau1 = 0 they stay pure
+    for tau1 in (0.2, 0.0):
+        family = analyze(RunConfig(n_max=40, couplings=CouplingParams(tau1=tau1))).family
+        states += list(choi(oracles.pattern_superoperator(family)) / 2)
+    states = np.array(states)
+    want = np.array([qmi(rho) for rho in states])
+    assert np.abs(oracles.stacked_qmi(states) - want).max() <= 1e-15
+    # and it rejects what qmi rejects
+    bad = np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex)
+    with pytest.raises(ValueError, match="not a valid state"):
+        qmi(bad)
+    with pytest.raises(ValueError, match="not a valid state"):
+        oracles.stacked_qmi(np.array([states[0], bad]))
 
 
 def test_lfs_series_identity_family_is_flat():
