@@ -14,8 +14,7 @@ from state n-1 to state n); its ``delta_i`` is the QMI change realized by
 that collision.
 """
 
-import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -65,7 +64,6 @@ class RunResult:
     family: np.ndarray
     columns: dict[str, np.ndarray]
     summary: RunSummary
-    elapsed: float = field(default=0.0, repr=False)
 
     @cached_property
     def records(self) -> list[WitnessRecord]:
@@ -93,19 +91,14 @@ def evolve_runs(configs) -> tuple[np.ndarray,
 
 
 def analyze_evolved(config: RunConfig, states: np.ndarray,
-                    error: engine.InvariantDriftError | None = None,
-                    t_start: float | None = None) -> RunResult:
+                    error: engine.InvariantDriftError | None = None) -> RunResult:
     """Analyze all collisions of one evolved configuration in one array pass.
 
     ``states`` and ``error`` are what ``evolve_runs`` gives for ``config``:
     the (n_max + 1, 5, 2, 2) states of the physical state and the four
     probes, and the InvariantDriftError that stopped them, if any; the
-    states from its ``step`` on are dropped. ``t_start``, a
-    ``time.perf_counter`` reading, dates ``RunResult.elapsed`` (default: this
-    call). Raises like ``analyze``.
+    states from its ``step`` on are dropped. Raises like ``analyze``.
     """
-    if t_start is None:
-        t_start = time.perf_counter()
     if error is not None:
         states = states[:error.step]
     family = tomography.phase_covariant_maps(states[:, 1:])
@@ -116,8 +109,7 @@ def analyze_evolved(config: RunConfig, states: np.ndarray,
         error = singular
     result = RunResult(
         config=config, states=states, family=family, columns=columns,
-        summary=summarize(columns, n_max=config.n_max),
-        elapsed=time.perf_counter() - t_start)
+        summary=summarize(columns, n_max=config.n_max))
     if error is not None:
         error.partial_result = result
         raise error
@@ -133,22 +125,21 @@ def analyze(config: RunConfig) -> RunResult:
     the result analyzed up to the collision before it as ``partial_result``;
     when both occur, the earlier step is reported.
     """
-    t_start = time.perf_counter()
     states, (error,) = evolve_runs([config])
-    return analyze_evolved(config, states[:, 0], error, t_start)
+    return analyze_evolved(config, states[:, 0], error)
 
 
 def summarize(columns, n_max: int) -> RunSummary:
     """Reduce a witness table to run-level measures and indices.
 
-    ``columns`` is a table like ``RunResult.columns``; an empty one means no
+    ``columns`` is a table like ``RunResult.columns``, with every
+    ``WitnessRecord`` field as a key; a table of zero rows means no
     collisions. I_RHP, I_LFS and sum N_q all add up the values that exceed
     ``TOL_POS``, so round-off increments of a CP-divisible run count as zero
     in all three. ``max_abs_d`` takes |d| as ``np.hypot`` of its parts,
     which is libm's ``hypot``, as Python's complex ``abs``; ``np.abs`` of a
     complex array differs from it by an ulp on some members.
     """
-    columns = dict(columns) or {f.name: np.empty(0) for f in fields(WitnessRecord)}
     nq, g, delta_i, steps = (columns[k] for k in ("n_q", "g_n", "delta_i", "n"))
     nq_pos, g_pos = nq > TOL_POS, g > TOL_POS
 

@@ -9,14 +9,15 @@ Two subcommands cover the workflows:
 Configuration is one flat dict of keys (``_KEYS``), each source overriding
 the ones before it: defaults (the resonant reference run: omega = 1,
 g = 0.2, tau1 = tau2 = 0.2, beta = 1, n_max = 1000, initial state I/2), an
-optional key=value text file, repeatable ``--set key=value`` flags and
-``--format``, ``KDQFLUX_OUTPUT_DIR``, ``--out``. ``_run_config`` and
-``_config_keys`` turn the physical keys into a RunConfig and back, for a
-run, for each sweep point and for the ``params`` of the JSON files. Output
-files are deterministic: 17-significant-digit CSV and schema-versioned JSON.
+optional key=value text file, repeatable ``--set key=value`` flags,
+``KDQFLUX_OUTPUT_DIR``, ``--out``. ``_run_config`` and ``_config_keys`` turn
+the physical keys into a RunConfig and back, for a run, for each sweep point
+and for the ``params`` of the JSON files. A run always writes
+collisions.csv and summary.json, a sweep sweep.csv and sweep.json; the files
+are deterministic: 17-significant-digit CSV and schema-versioned JSON.
 
-Exit codes: 0 success, 1 configuration error, 2 runtime/numerical failure,
-3 partial sweep failure.
+Exit codes: 0 success, 1 configuration or usage error, 2 runtime/numerical
+failure, 3 partial sweep failure.
 """
 
 import argparse
@@ -60,8 +61,8 @@ _KEYS = {
     "beta": (float, 1.0), "gamma": (float, 0.0), "n_max": (int, 1000),
     "kind": (str, SINGLE_RUN), "grid_min": (float, None),
     "grid_max": (float, None), "grid_points": (int, 101),
-    "output_dir": (str, None), "formats": (str, "csv,json"),
-    "sm_kind": (str, ISOTROPIC), "aniso_strength": (float, None),
+    "output_dir": (str, "out"), "sm_kind": (str, ISOTROPIC),
+    "aniso_strength": (float, None),
 }
 
 _GRID_BOUNDS = {DETUNING_SWEEP: (-0.5, 0.5), ANISOTROPY_SWEEP: (-1.0, 1.0)}
@@ -96,7 +97,6 @@ class ExperimentSpec:
     base: RunConfig
     grid: np.ndarray | None
     output_dir: Path
-    formats: tuple[str, ...]
 
 
 def _parse_value(key: str, raw: str):
@@ -180,9 +180,6 @@ def load_config(path=None, cli_overrides: dict | None = None) -> ExperimentSpec:
     v.update(cli_overrides or {})
     if v["kind"] not in _KINDS:
         raise InvalidValueError("kind", f"must be one of {_KINDS}")
-    formats = tuple(f.strip() for f in str(v["formats"]).split(",") if f.strip())
-    if not formats or any(f not in ("csv", "json") for f in formats):
-        raise InvalidValueError("formats", "must be a subset of csv,json")
     grid = None
     if v["kind"] != SINGLE_RUN:
         lo, hi = _GRID_BOUNDS[v["kind"]]
@@ -198,11 +195,9 @@ def load_config(path=None, cli_overrides: dict | None = None) -> ExperimentSpec:
                 f"{v['kind']} grid must stay within [{lo}, {hi}]")
         grid = np.linspace(grid_min, grid_max, v["grid_points"])
 
-    out = v["output_dir"]
     try:
         spec = ExperimentSpec(kind=v["kind"], base=_run_config(v), grid=grid,
-                              output_dir=Path(out) if out else Path("out"),
-                              formats=formats)
+                              output_dir=Path(v["output_dir"]))
         # omega_s grows along a detuning grid, the phase bound with |omega_s|,
         # and neither depends on gamma: if both ends build, every point does
         for value in () if grid is None else (grid[0], grid[-1]):
@@ -232,27 +227,22 @@ def run_single(spec: ExperimentSpec, quiet: bool = False) -> int:
         error = exc
         result = exc.partial_result
 
-    s = result.summary
-    if "csv" in spec.formats:
-        c = result.columns
-        table = np.column_stack([
-            c["n"], c["p0"], c["p1"], c["a"], c["b"], c["c"].real, c["c"].imag,
-            c["d"].real, c["d"].imag, c["n_q"], c["g_n"], c["delta_i"],
-            c["avg_de"] / spec.base.spins.omega_s, c["choi_min_eig"],
-            c["residual"]])
-        with open(spec.output_dir / "collisions.csv", "w",
-                  encoding="utf-8") as f:
-            f.write(COLLISION_HEADER + "\n")
-            for i in range(0, len(table), _CSV_BLOCK_ROWS):
-                rows = table[i:i + _CSV_BLOCK_ROWS]
-                f.write((_COLLISION_ROW * len(rows))
-                        % tuple(rows.ravel().tolist()))
-    if "json" in spec.formats:
-        _write_json(spec.output_dir / "summary.json", {
-            "schema": SCHEMA_VERSION, "kind": SINGLE_RUN,
-            "params": _config_keys(result.config), **dataclasses.asdict(s),
-            "error": (None if error is None else
-                      {"step": error.step, "message": str(error)})})
+    c, s = result.columns, result.summary
+    table = np.column_stack([
+        c["n"], c["p0"], c["p1"], c["a"], c["b"], c["c"].real, c["c"].imag,
+        c["d"].real, c["d"].imag, c["n_q"], c["g_n"], c["delta_i"],
+        c["avg_de"] / spec.base.spins.omega_s, c["choi_min_eig"],
+        c["residual"]])
+    with open(spec.output_dir / "collisions.csv", "w", encoding="utf-8") as f:
+        f.write(COLLISION_HEADER + "\n")
+        for i in range(0, len(table), _CSV_BLOCK_ROWS):
+            rows = table[i:i + _CSV_BLOCK_ROWS]
+            f.write((_COLLISION_ROW * len(rows)) % tuple(rows.ravel().tolist()))
+    _write_json(spec.output_dir / "summary.json", {
+        "schema": SCHEMA_VERSION, "kind": SINGLE_RUN,
+        "params": _config_keys(result.config), **dataclasses.asdict(s),
+        "error": (None if error is None else
+                  {"step": error.step, "message": str(error)})})
     if not quiet:
         print(f"run: {len(result.columns['n'])} collisions analyzed; "
               f"I_RHP={s.i_rhp:.6g} I_LFS={s.i_lfs:.6g} sum_Nq={s.sum_nq:.6g}"
@@ -337,29 +327,35 @@ def run_sweep(spec: ExperimentSpec, workers: int = 1, quiet: bool = False) -> in
     points = sweep_points(spec, workers)
     failures = sum(point["error"] is not None for point in points)
 
-    if "csv" in spec.formats:
-        (spec.output_dir / "sweep.csv").write_text(SWEEP_HEADER + "\n" + "".join(
-            "%.17g,%.17g,%.17g,%.17g,%s\n" % (
-                p["grid_value"], p.get("i_rhp", np.nan), p.get("i_lfs", np.nan),
-                p.get("sum_nq", np.nan),
-                (p["error"] or "").replace(",", ";").replace("\n", " "))
-            for p in points), encoding="utf-8")
-    if "json" in spec.formats:
-        _write_json(spec.output_dir / "sweep.json", {
-            "schema": SCHEMA_VERSION, "kind": spec.kind,
-            "params": _config_keys(spec.base),
-            "grid": [float(x) for x in spec.grid],
-            "points": points, "failures": failures,
-        })
+    (spec.output_dir / "sweep.csv").write_text(SWEEP_HEADER + "\n" + "".join(
+        "%.17g,%.17g,%.17g,%.17g,%s\n" % (
+            p["grid_value"], p.get("i_rhp", np.nan), p.get("i_lfs", np.nan),
+            p.get("sum_nq", np.nan),
+            (p["error"] or "").replace(",", ";").replace("\n", " "))
+        for p in points), encoding="utf-8")
+    _write_json(spec.output_dir / "sweep.json", {
+        "schema": SCHEMA_VERSION, "kind": spec.kind,
+        "params": _config_keys(spec.base),
+        "grid": [float(x) for x in spec.grid],
+        "points": points, "failures": failures,
+    })
     if not quiet:
         print(f"sweep: {len(points) - failures}/{len(points)} points succeeded",
               file=sys.stderr)
     return 3 if failures else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are configuration errors
+    (exit code 1), not argparse's exit code 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 @functools.cache   # built once per process; parsing does not change it
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kdqflux",
         description="Collision-model energy-change witnesses of non-Markovianity.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -372,8 +368,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override a configuration key (repeatable)")
         p.add_argument("--out", type=Path, default=None,
                        help="output directory (wins over env and file)")
-        p.add_argument("--format", default=None, metavar="LIST",
-                       help="comma-separated subset of csv,json")
         p.add_argument("--workers", type=int, default=1,
                        help="sweep: processes that evolve chunks of grid "
                             "points in parallel")
@@ -383,10 +377,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        formats = [] if args.format is None else [f"formats={args.format}"]
-        overrides = parse_overrides(args.set + formats)
+        args = _build_parser().parse_args(argv)
+        overrides = parse_overrides(args.set)
         out = args.out or os.environ.get(OUTPUT_DIR_ENV)
         if out:
             overrides["output_dir"] = out

@@ -58,7 +58,9 @@ class RunConfig:
         if scale > DRIFT_TOL:
             raise ValueError(f"Hamiltonian too large for double precision: "
                              f"eps |H| tau = {scale:.2e} > {DRIFT_TOL:g}")
-        rho = np.asarray(self.initial_system, dtype=complex)
+        # a read-only copy: the caller's array cannot change a valid config
+        rho = np.array(self.initial_system, dtype=complex)
+        rho.flags.writeable = False
         if rho.shape != (2, 2):
             raise ValueError("initial_system must be a 2x2 density matrix")
         (r00, r01), (r10, r11) = rho.tolist()

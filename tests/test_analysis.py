@@ -11,6 +11,7 @@ from kdqflux.model import (ANISOTROPIC, ISOTROPIC, CouplingParams, SpinParams,
 from kdqflux.tomography import SingularMapError
 from oracles import (affine_family, affine_to_superoperator, choi, kdq_general,
                      pattern_superoperator, qmi, same_bits, time_local_map)
+from test_witnesses import zero_table
 
 SWAP_TAU = np.pi / (2 * 0.2)
 
@@ -199,7 +200,7 @@ def test_singular_map_aborts_with_partial_result():
 
 
 def test_summarize_empty_records():
-    s = summarize([], n_max=0)
+    s = summarize(zero_table(0), n_max=0)
     assert s.i_rhp == 0.0 and s.i_lfs == 0.0 and s.sum_nq == 0.0
     assert s.first_nq_positive is None and s.last_g_positive is None
 

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -22,7 +24,7 @@ from oracles import replaced_sweep_point_config
 SWAP_TAU = np.pi / (2 * 0.2)
 # the keys that describe the experiment rather than the physics
 NON_PHYSICAL_KEYS = {"kind", "grid_min", "grid_max", "grid_points",
-                     "output_dir", "formats"}
+                     "output_dir"}
 
 
 # ------------------------------------------------------------ configuration
@@ -38,21 +40,23 @@ def test_defaults_reproduce_reference_run(tmp_path):
     assert spec.base.thermal.beta == 1.0
     assert spec.base.n_max == 1000
     assert np.allclose(spec.base.initial_system, np.eye(2) / 2)
-    assert spec.formats == ("csv", "json")
 
 
 def test_config_file_parsing(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("""
+    text = """
 # reference run, shorter
 omega_s = 0.8
 n_max = 17          # inline comments are stripped
-formats = json
-""")
+"""
+    cfg.write_text(text)
     spec = load_config(cfg)
     assert spec.base.spins.omega_s == 0.8
     assert spec.base.n_max == 17
-    assert spec.formats == ("json",)
+    # a run always writes both files; there is no key to choose them
+    cfg.write_text(text + "formats = json\n")
+    with pytest.raises(InvalidValueError, match="'formats': unknown key"):
+        load_config(cfg)
 
 
 def test_config_file_with_byte_order_mark(tmp_path):
@@ -231,12 +235,20 @@ def test_run_rows_satisfy_witness_invariants(tmp_path):
         assert float(fields[i_g]) >= -1e-12
 
 
-def test_run_csv_only_format(tmp_path):
+def test_run_csv_only_format(tmp_path, capsys):
+    # a run writes both files, and neither a key nor a flag selects one
+    out = tmp_path / "both"
+    assert main(["run", "--set", "n_max=2", "--out", str(out), "--quiet"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["collisions.csv",
+                                                     "summary.json"]
     out = tmp_path / "csvonly"
+    assert main(["run", "--set", "n_max=2", "--set", "formats=csv",
+                 "--out", str(out), "--quiet"]) == 1
+    assert capsys.readouterr().err == (
+        "configuration error: invalid value for key 'formats': unknown key\n")
     assert main(["run", "--set", "n_max=2", "--format", "csv",
-                 "--out", str(out), "--quiet"]) == 0
-    assert (out / "collisions.csv").exists()
-    assert not (out / "summary.json").exists()
+                 "--out", str(out), "--quiet"]) == 1
+    assert not out.exists()
 
 
 def test_run_at_an_overflowing_gibbs_weight_is_finite(tmp_path):
@@ -295,6 +307,36 @@ def test_run_singular_flushes_partial_output_and_exits_2(tmp_path):
     assert len(rows) == 2          # header plus the single completed step
     summary = json.loads((out / "summary.json").read_text())
     assert summary["error"]["step"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    [],                                      # no subcommand
+    ["frobnicate"],                          # unknown subcommand
+    ["run", "--bogus"],                      # unknown flag
+    ["run", "--workers", "abc"],             # flag value of the wrong type
+    ["sweep", "--set"],                      # flag without its value
+    ["run", "--format", "csv"],              # a removed flag
+])
+def test_usage_errors_are_configuration_errors(tmp_path, monkeypatch, capsys,
+                                               argv):
+    # argparse would exit 2, the code of a runtime failure, by SystemExit
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("KDQFLUX_OUTPUT_DIR", raising=False)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: ")
+    assert captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"],
+                                  ["sweep", "-h"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: kdqflux")
 
 
 def test_config_error_exit_code():
@@ -554,3 +596,33 @@ def test_run_drift_flushes_partial_output_and_exits_2(tmp_path, monkeypatch):
     assert rows[0] == COLLISION_HEADER
     assert len(rows) - 1 == step - 1
     assert [int(r.split(",")[0]) for r in rows[1:]] == list(range(1, step))
+
+
+# ------------------------------------------------------------ documentation
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def _command_line_section() -> str:
+    text = README.read_text(encoding="utf-8")
+    start = text.index("\n## Command line\n")
+    return text[start:text.index("\n## ", start + 1)]
+
+
+def test_readme_key_list_is_the_configuration_keys():
+    (keys,) = re.findall(r"Keys: `([^`]*)`", _command_line_section())
+    assert keys.split() == list(cli._KEYS)
+
+
+def test_readme_command_line_flags_are_accepted():
+    section = _command_line_section()
+    parser = cli._build_parser()
+    examples = [shlex.split(line, comments=True)
+                for line in section.splitlines() if line.startswith("kdqflux ")]
+    assert {argv[1] for argv in examples} == {"run", "sweep"}
+    for argv in examples:
+        parser.parse_args(argv[1:])     # a flag it does not know raises
+    (subparsers,) = parser._subparsers._group_actions
+    options = {option for sub in subparsers.choices.values()
+               for option in sub._option_string_actions}
+    assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section)) <= options

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kdqflux import engine, model
-from kdqflux.analysis import TOL_POS
+from kdqflux.analysis import TOL_POS, analyze
 from kdqflux.engine import (CHECK_BLOCK, CHECK_STATES, DRIFT_TOL,
                             ROUNDING_MARGIN, InvariantDriftError, RunConfig,
                             _check_block, _ldl_certified, evolve_grid)
@@ -431,6 +431,23 @@ def test_run_config_rejects_bad_initial_state():
         RunConfig(n_max=-1)
     with pytest.raises(ValueError, match="finite"):
         RunConfig(initial_system=np.array([[np.nan, 0], [0, 1.0]]))
+
+
+def test_run_config_keeps_a_read_only_copy_of_the_initial_state():
+    # a complex array is not aliased: changing it after construction
+    # leaves the validated configuration as it was
+    rho = 0.5 * np.eye(2, dtype=complex)
+    config = RunConfig(initial_system=rho, n_max=3)
+    rho[0, 0] = 5
+    assert config.initial_system is not rho
+    assert not config.initial_system.flags.writeable
+    assert np.array_equal(config.initial_system, 0.5 * I2)
+    assert np.array_equal(analyze(config).states,
+                          analyze(RunConfig(n_max=3)).states)
+    for config in (RunConfig(), RunConfig(initial_system=[[1, 0], [0, 0]])):
+        assert not config.initial_system.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            config.initial_system[0, 0] = 0
 
 
 def _rotated(eigenvalues, rng):
