@@ -300,19 +300,20 @@ def sweep_points(spec: ExperimentSpec, workers: int = 1) -> list[dict]:
     ``SWEEP_CHUNK_BYTES`` of recorded system history, each chunk as one
     stacked collision loop, and then analyzed one at a time; a point whose
     configuration is rejected or whose propagators cannot be built fails
-    alone. With ``workers > 1`` the chunks run in a process pool; the
-    values do not depend on the worker count.
+    alone. With ``workers > 1`` and more than one chunk, the chunks run in
+    a pool of at most one process per chunk; a single chunk runs in this
+    process. The values do not depend on the worker count.
     """
     values = [float(value) for value in spec.grid]
     # five trajectories of (n_max + 1) complex 2x2 states per point
     size = max(1, SWEEP_CHUNK_BYTES // (5 * (spec.base.n_max + 1) * 4 * 16))
     chunks = [values[i:i + size] for i in range(0, len(values), size)]
     run_chunk = functools.partial(_sweep_chunk, spec)
-    if workers > 1:
+    if workers > 1 and len(chunks) > 1:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(
-                max_workers=workers,
+                max_workers=min(workers, len(chunks)),
                 mp_context=multiprocessing.get_context("spawn")) as pool:
             outcomes = [o for chunk in pool.map(run_chunk, chunks) for o in chunk]
     else:

@@ -96,9 +96,9 @@ class RunConfig:
 CHECK_BLOCK = 64
 CHECK_STATES = 1280
 
-# The drift check's certificate shift stays this far below the tolerance,
-# well above the few 1e-16 of rounding in the LDL^H pivots and in eigvalsh of
-# a 4x4 state.
+# The drift check's certificate shift, and the drift bound that lets a call
+# skip the check, stay this far below the tolerance, well above the few
+# 1e-16 of rounding in the LDL^H pivots and in eigvalsh of a 4x4 state.
 ROUNDING_MARGIN = 1e-14
 
 
@@ -136,7 +136,8 @@ def _check_block(states: np.ndarray, start: int, drift_tol: float,
     Sets ``errors[g]`` to the error of point g's first offending collision,
     unless an earlier block already did. A state with a non-finite entry
     (from overflowing inputs) makes ``herm`` non-finite and is an offending
-    one, so it fails only its own point.
+    one, so it fails only its own point. ``evolve_grid`` calls it only when
+    ``_drift_bound`` cannot prove that every state passes.
     """
     m, g, k = states.shape[:3]
     flat = states.reshape(m, g * k, 4, 4)
@@ -168,6 +169,63 @@ def _check_block(states: np.ndarray, start: int, drift_tol: float,
                 f"min eigenvalue {min_eig[j]:.2e}", step=start + n)
 
 
+def _drift_bound(u_sm: np.ndarray, u_ma: np.ndarray, w_a: np.ndarray,
+                 rho_m: np.ndarray, initial_systems: np.ndarray,
+                 n_max: int) -> np.ndarray:
+    """Per grid point, an upper bound on the hermiticity deviation, the
+    trace excess |Tr X - 1| and the negative eigenvalues that
+    ``_check_block`` finds in any joint state X of collisions 0..n_max.
+
+    Let D be X's trace-norm distance from the density matrices, X = rho +
+    Delta with ||Delta||_1 = D. Then |X_ij - conj(X_ji)| <= 2 D,
+    |Tr X - 1| <= D, and the Hermitian matrix that ``eigvalsh`` reads off
+    X's lower triangle is within sqrt(2) D of rho: the bound is 2 D.
+
+    In exact arithmetic a half-collision with the computed propagator u and
+    the Gibbs weights p_a >= 0 of ``w_a`` is the completely positive map
+    Phi(X) = Tr_A[u (X (x) diag(p)) u^H], and Phi*(I) - I =
+    sum_a p_a <a|u^H u - I|a> + (sum_a p_a - 1) I. With eta = sum_a p_a
+    (||u^H u - I||_F + 128 u) + |sum_a p_a - 1|, u = 2^-53 (128 u covers
+    the rounding of u^H u, at most 8 sqrt(2) gamma_10 = 113 u in Frobenius
+    norm), Phi gains at most a factor 1 + eta in trace norm and moves the
+    trace of a density matrix by at most eta. The rounding of the weight
+    multiply, of the two 8-term complex products (at most sqrt(2) gamma_10
+    |A||B|; Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    sec. 3.6) and of the environment trace is at most 2 (2 sqrt(2) u +
+    8 sqrt(2) gamma_10) ||X||_F <= 240 u ||X||_1 in trace norm, and
+    ||X||_1 <= 2 while D <= 1/2. So a half maps D to at most
+    (1 + eta) D + eta + 480 u, and the 2n halves of n collisions give
+    D_n <= exp(2 n eta) (D_0 + 2 n (eta + 480 u)).
+
+    A 2x2 matrix [[a, b], [c, d]] is within 2 |Im a| + 2 |Im d| +
+    |b - conj(c)| (its anti-Hermitian part) + 4 max(-l, 0) + |Re(a + d) - 1|
+    of a density matrix, l the smaller eigenvalue of its Hermitian part, and
+    D_0 <= D_S (1 + D_M) + D_M + 128 u for rho_S (x) rho_M, the 128 u
+    covering the rounding of the product and of D_S and D_M. A non-finite
+    input, or a weight that is not a real p_a >= 0, gives a bound that is
+    not finite.
+    """
+    unit = 2.0 ** -53
+    with np.errstate(all="ignore"):
+        p = np.where((w_a.imag == 0) & (w_a.real >= 0), w_a.real, np.nan)
+        total = p.sum(axis=1)
+        u = np.stack([u_sm, u_ma])
+        defect = np.linalg.norm((u.conj().swapaxes(-1, -2) @ u - np.eye(8))
+                                .reshape(2, -1, 64), axis=-1).max(axis=0)
+        eta = total * (defect + 128 * unit) + np.abs(total - 1.0)
+        # the distances of the k initial states, then of the G rho_M
+        a, b, c, d = np.concatenate([initial_systems, rho_m]).reshape(-1, 4).T
+        tr, c_bar = a.real + d.real, c.conj()
+        lo = tr / 2 - np.hypot((a.real - d.real) / 2, np.abs(b + c_bar) / 2)
+        dist = (2 * (np.abs(a.imag) + np.abs(d.imag)) + np.abs(b - c_bar)
+                + 4 * np.maximum(-lo, 0) + np.abs(tr - 1))
+        k = len(initial_systems)
+        d_m = dist[k:]
+        d_0 = dist[:k].max() * (1 + d_m) + d_m + 128 * unit
+        halves = 2 * n_max
+        return 2 * np.exp(halves * eta) * (d_0 + halves * (eta + 480 * unit))
+
+
 def evolve_grid(configs, initial_systems: np.ndarray
                 ) -> tuple[np.ndarray, list[InvariantDriftError | None]]:
     """Evolve the same initial states under every configuration at once.
@@ -183,6 +241,12 @@ def evolve_grid(configs, initial_systems: np.ndarray
     InvariantDriftError of its first collision whose joint state left the
     density-matrix invariants (``DRIFT_TOL``). A drifting point does not
     affect the others; its states from ``step`` on are not valid.
+
+    Before the loop, ``_drift_bound`` bounds every invariant of every joint
+    state the loop can reach. When that bound is finite and at most
+    ``DRIFT_TOL - ROUNDING_MARGIN`` (and 1) at every point, no state can
+    fail the check, and the call skips ``_check_block``; otherwise every
+    block is checked. Either way the states and errors are the same.
     """
     configs = list(configs)
     n_max = configs[0].n_max
@@ -198,6 +262,11 @@ def evolve_grid(configs, initial_systems: np.ndarray
     u_ma_dag = u_ma.conj().transpose(0, 2, 1)
     rho_m = np.array([model.thermal_state(c.thermal, c.spins.omega_m)
                       for c in configs])
+    w_a = np.array([model.thermal_state(c.thermal, c.spins.omega_a).diagonal()
+                    for c in configs])
+    # a NaN bound is not certified
+    certified = (_drift_bound(u_sm, u_ma, w_a, rho_m, initial_systems, n_max)
+                 <= min(DRIFT_TOL - ROUNDING_MARGIN, 1.0)).all()
 
     n1 = n_max + 1
     size = min(max(CHECK_BLOCK, CHECK_STATES // (g * k)), n1)
@@ -222,8 +291,7 @@ def evolve_grid(configs, initial_systems: np.ndarray
     # through the diagonal view of xe
     xe = np.zeros((rows, 2, cols, 2), dtype=complex)
     xe_diag = np.einsum("rasa->ras", xe)
-    p_a = np.repeat([model.thermal_state(c.thermal, c.spins.omega_a).diagonal()
-                     for c in configs], 4, axis=0)[:, :, np.newaxis]
+    p_a = np.repeat(w_a, 4, axis=0)[:, :, np.newaxis]
     y = np.empty((g, 8, 8 * k), dtype=complex)
     z = np.empty((g, 8 * k, 8), dtype=complex)
     xe_flat, y_r = xe.reshape(g, 8, 8 * k), y.reshape(g, 8 * k, 8)
@@ -247,7 +315,8 @@ def evolve_grid(configs, initial_systems: np.ndarray
             np.einsum("ngkaibi->ngkab",
                       states.reshape(j + 1, g, k, 2, 2, 2, 2),
                       out=system[start:n + 1])
-            _check_block(states, start, DRIFT_TOL, errors)
+            if not certified:
+                _check_block(states, start, DRIFT_TOL, errors)
     # the traced joint states at n = 0 are the inputs times Tr rho_M, which
     # is 1 only to within an ulp
     system[0] = initial_systems

@@ -216,7 +216,8 @@ def test_reconstructed_family_has_identity_at_n0(fig1_short):
     (RunConfig(), 354, 6.97e-14),
     (RunConfig(couplings=CouplingParams(sm_interaction_kind=ANISOTROPIC,
                                         gamma=-0.4)), 219, 1.50e-13),
-], ids=["reference", "anisotropic"])
+    (RunConfig(spins=SpinParams(omega_s=0.95)), 513, 6.74e-13),
+], ids=["reference", "anisotropic", "detuning_-0.05"])
 def test_nq_on_cp_rows_bounds_the_accuracy(config, cp_rows, measured):
     """On a row whose step map is CP, a and b lie in [0, 1] and the exact
     N_q is 0, so the largest |N_q| there is the error of the pipeline, with

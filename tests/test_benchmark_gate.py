@@ -2,10 +2,11 @@
 
 ``perfbench/run.py`` rejects every op whose output leaves the outputs
 recorded in ``perfbench/reference/*.npz`` by more than ``checks.TOL``. This
-test runs a sample spread over seed 0's recorded ops of each workload (100
-reference runs, 40 sweeps and 500 short runs are recorded) through the same
-workload code and check, so a change that moves the recorded rounding fails
-here, not only in a benchmark run. It reads the reference files and writes only
+test runs seed 0's recorded ops through the same workload code and check:
+all 40 sweeps, all 500 short runs and every 10th of the 100 reference runs,
+so a change that moves the recorded rounding fails here, not only in a
+benchmark run. A sample of every 8th sweep missed a change that failed
+sweeps 10 and 13 alone. It reads the reference files and writes only
 to a temporary directory. Re-recording the reference, or changing the
 gate, calls for a look at this test too.
 """
@@ -25,9 +26,9 @@ from checks import check, load_reference, reference_path  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 SEED = 0
-# every 10th recorded reference run, every 8th sweep, every 5th short run
-OPS = {"reference_run": range(0, 100, 10), "detuning_sweep": range(0, 40, 8),
-       "random_short_runs": range(0, 500, 5)}
+# every 10th recorded reference run, every sweep, every short run
+OPS = {"reference_run": range(0, 100, 10), "detuning_sweep": range(40),
+       "random_short_runs": range(500)}
 
 
 @pytest.mark.parametrize("name", sorted(OPS))

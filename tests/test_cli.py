@@ -471,7 +471,9 @@ def test_sweep_failures_marked_and_exit_3(tmp_path):
     assert payload["points"][1]["error"] is not None
 
 
-def test_sweep_worker_pool_path(tmp_path):
+def test_sweep_worker_pool_path(tmp_path, monkeypatch):
+    # one point per chunk: two chunks, so the pool runs
+    monkeypatch.setattr(cli, "SWEEP_CHUNK_BYTES", 5 * 11 * 4 * 16)
     out = tmp_path / "pool"
     code = main(["sweep", "--set", "kind=anisotropy_sweep",
                  "--set", "grid_points=2", "--set", "grid_min=-0.5",
@@ -480,6 +482,20 @@ def test_sweep_worker_pool_path(tmp_path):
     assert code == 0
     payload = json.loads((out / "sweep.json").read_text())
     assert [p["grid_value"] for p in payload["points"]] == [-0.5, 0.5]
+
+
+def test_one_chunk_sweep_runs_without_a_pool(tmp_path, monkeypatch):
+    # three points fit one chunk: with two workers it runs in this process
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-chunk sweep started a process pool")
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    spec = load_config(None, {"kind": "detuning_sweep", "n_max": 20,
+                              "grid_points": 3})
+    points = cli.sweep_points(spec, workers=2)
+    assert [p["error"] for p in points] == [None] * 3
+    assert points == cli.sweep_points(spec)
 
 
 def test_sweep_point_that_cannot_be_built_fails_alone(tmp_path):

@@ -1,17 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from kdqflux import engine, model
-from kdqflux.analysis import TOL_POS, analyze
+from kdqflux.analysis import TOL_POS, analyze, evolve_runs
+from kdqflux.cli import load_config, sweep_points
 from kdqflux.engine import (CHECK_BLOCK, CHECK_STATES, DRIFT_TOL,
                             ROUNDING_MARGIN, InvariantDriftError, RunConfig,
-                            _check_block, _ldl_certified, evolve_grid)
-from kdqflux.model import (ANISOTROPIC, CouplingParams, SpinParams,
+                            _check_block, _drift_bound, _ldl_certified,
+                            evolve_grid)
+from kdqflux.model import (ANISOTROPIC, ISOTROPIC, CouplingParams, SpinParams,
                            ThermalSpec, collision_unitaries, thermal_state)
 from kdqflux.tomography import COND_THRESHOLD, PROBES, SINGULAR_DET
-from oracles import (cholesky_certified, eigvalsh_density_check,
-                     exp_thermal_state, hermiticity_max, joint_history,
-                     local_hamiltonian, partial_trace)
+from oracles import (cholesky_certified, density_from_bloch,
+                     eigvalsh_density_check, exp_thermal_state,
+                     hermiticity_max, joint_history, local_hamiltonian,
+                     partial_trace)
+from test_batched_pipeline import _random_short_config
 
 I2 = np.eye(2, dtype=complex)
 SWAP_TAU1 = np.pi / (2 * 0.2)   # g_sm * tau1 = pi/2, full S-M swap
@@ -387,6 +393,155 @@ def test_drift_check_reports_the_first_bad_collision(defect, message):
     assert errors[1].step == 132
     assert str(errors[1]) == (
         f"density-matrix invariants violated at collision 132: {message}")
+
+
+# ------------------------------------------------------ drift certificate
+
+class _Spy:
+    """Records the arguments and bounds of ``_drift_bound`` and counts the
+    ``_check_block`` calls of the ``evolve_grid`` calls made under it."""
+
+    def __init__(self, monkeypatch):
+        self.calls, self.checks = [], 0
+
+        def bound(*args):
+            self.calls.append((args, _drift_bound(*args)))
+            return self.calls[-1][1]
+
+        def check(*args):
+            self.checks += 1
+            _check_block(*args)
+        monkeypatch.setattr(engine, "_drift_bound", bound)
+        monkeypatch.setattr(engine, "_check_block", check)
+
+
+def _assert_bound_is_sound(bound, configs, states):
+    """Every point's bound covers the deviations of a per-collision scan of
+    the allocating loop's joint states."""
+    joint = joint_history(configs, states, configs[0].n_max)
+    for p in range(len(configs)):
+        herm, tr, min_eig = _deviations(joint[:, p:p + 1])
+        assert max(herm.max(), tr.max(), -min_eig.min()) <= bound[p]
+
+
+@st.composite
+def _benchmark_box_configs(draw):
+    """Configurations over the benchmark's parameter box: frequencies in
+    [0.6, 1.4], couplings and durations in [0.05, 0.4], beta in [0.2, 3],
+    either coupling, any initial state, up to 200 collisions."""
+    f = st.floats
+    anisotropic = draw(st.booleans())
+    radius, polar = draw(f(0.0, 1.0)), draw(f(0.0, np.pi))
+    azimuth = draw(f(0.0, 2 * np.pi))
+    return RunConfig(
+        spins=SpinParams(*(draw(f(0.6, 1.4)) for _ in range(3))),
+        couplings=CouplingParams(
+            *(draw(f(0.05, 0.4)) for _ in range(4)),
+            gamma=draw(f(-1.0, 1.0)) if anisotropic else 0.0,
+            sm_interaction_kind=ANISOTROPIC if anisotropic else ISOTROPIC),
+        thermal=ThermalSpec(beta=draw(f(0.2, 3.0))),
+        initial_system=density_from_bloch(radius * np.array([
+            np.sin(polar) * np.cos(azimuth), np.sin(polar) * np.sin(azimuth),
+            np.cos(polar)])),
+        n_max=draw(st.integers(0, 200)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(config=_benchmark_box_configs())
+def test_drift_bound_is_sound_on_random_configurations(config):
+    states = np.concatenate([config.initial_system[np.newaxis], PROBES])
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        spy = _Spy(monkeypatch)
+        _, errors = evolve_grid([config], states)
+    assert errors == [None] and spy.checks == 0
+    _assert_bound_is_sound(spy.calls[0][1], [config], states)
+
+
+def test_drift_bound_is_sound_at_the_reference_point(monkeypatch):
+    config = RunConfig()
+    states = np.concatenate([config.initial_system[np.newaxis], PROBES])
+    spy = _Spy(monkeypatch)
+    evolve_grid([config], states)
+    (bound,) = spy.calls[0][1]
+    assert bound < 1e-9     # measured 2.7e-10
+    _assert_bound_is_sound([bound], [config], states)
+
+
+def test_certified_and_checked_calls_give_the_same_results(monkeypatch):
+    states = np.concatenate([I2[np.newaxis] / 2, PROBES])
+    spy = _Spy(monkeypatch)
+    certified, errors = evolve_grid(GRID, states)
+    assert spy.checks == 0 and errors == [None] * len(GRID)
+    bound = float(spy.calls[0][1].max())
+    _assert_bound_is_sound(spy.calls[0][1], GRID, states)
+    # certified while the bound stays ROUNDING_MARGIN below DRIFT_TOL ...
+    monkeypatch.setattr(engine, "DRIFT_TOL", bound + 2 * ROUNDING_MARGIN)
+    evolve_grid(GRID, states)
+    assert spy.checks == 0
+    # ... and checked, block by block, once DRIFT_TOL is lowered to it
+    monkeypatch.setattr(engine, "DRIFT_TOL", bound)
+    checked, errors = evolve_grid(GRID, states)
+    assert spy.checks == 3 and errors == [None] * len(GRID)
+    assert checked.tobytes() == certified.tobytes()
+
+
+def test_drift_certificate_is_denied_for_non_finite_inputs(monkeypatch):
+    spy = _Spy(monkeypatch)
+    nan_state = np.array([[np.nan, 0.0], [0.0, 1.0]], dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, (error,) = evolve_grid([RunConfig(n_max=3)], nan_state[np.newaxis])
+        monkeypatch.setattr(model, "thermal_state", exp_thermal_state)
+        overflow = RunConfig(spins=SpinParams(omega_m=1.5),
+                             thermal=ThermalSpec(beta=1000.0), n_max=3)
+        _, (overflowed,) = evolve_grid([overflow], PROBES)
+    assert error.step == overflowed.step == 0
+    assert not np.isfinite([bound for _, (bound,) in spy.calls]).any()
+    assert spy.checks == 2
+
+
+def test_drift_certificate_is_denied_for_initial_states_at_the_tolerance(
+        monkeypatch):
+    spy = _Spy(monkeypatch)
+    with pytest.raises(InvariantDriftError):
+        evolve(fig1_config(n_max=1),
+               np.diag([1.5, -0.5]).astype(complex)[np.newaxis])
+    assert spy.checks == 1
+    # valid configurations whose initial state is a relative 1e-6 of
+    # DRIFT_TOL inside the minimum-eigenvalue, trace and hermiticity bounds
+    t = DRIFT_TOL * (1 - 1e-6)
+    for rho in (np.diag([-t, 1.0 + t]), np.diag([0.5, 0.5 + t]),
+                np.array([[0.5, t], [0.0, 0.5]])):
+        config = RunConfig(initial_system=rho, n_max=3)
+        checks = spy.checks
+        evolve_grid([config], config.initial_system[np.newaxis])
+        assert spy.checks == checks + 1
+        assert spy.calls[-1][1][0] > DRIFT_TOL - ROUNDING_MARGIN
+
+
+def test_drift_certificate_is_denied_past_its_horizon(monkeypatch):
+    spy = _Spy(monkeypatch)
+    evolve_grid([RunConfig(n_max=10)], PROBES)
+    args = spy.calls[0][0]
+    # the bound grows with the horizon and passes DRIFT_TOL near 36 000
+    # collisions of the reference point (no collision is run here)
+    bounds = [_drift_bound(*args[:-1], n)[0] for n in (10, 1000, 10**5)]
+    assert bounds == sorted(bounds)
+    assert bounds[1] < DRIFT_TOL / 10 and bounds[2] > DRIFT_TOL
+
+
+def test_drift_certificate_is_granted_on_benchmark_configurations(monkeypatch):
+    spy = _Spy(monkeypatch)
+    analyze(RunConfig())
+    # a 4-point, 1000-collision detuning window, as a benchmark sweep op
+    sweep = load_config(None, {"kind": "detuning_sweep", "grid_points": 4,
+                               "grid_min": -0.1, "grid_max": 0.05})
+    assert [p["error"] for p in sweep_points(sweep)] == [None] * 4
+    rng = np.random.default_rng(59)
+    for _ in range(50):
+        assert evolve_runs([_random_short_config(rng)])[1] == [None]
+    assert len(spy.calls) == 52 and spy.checks == 0
+    assert max(bound.max() for _, bound in spy.calls) < DRIFT_TOL / 10
 
 
 # ---------------------------------------------------------------- probes
