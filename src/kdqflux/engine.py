@@ -96,37 +96,9 @@ class RunConfig:
 CHECK_BLOCK = 64
 CHECK_STATES = 1280
 
-# The drift check's certificate shift, and the drift bound that lets a call
-# skip the check, stay this far below the tolerance, well above the few
-# 1e-16 of rounding in the LDL^H pivots and in eigvalsh of a 4x4 state.
+# The drift bound that lets a call skip the check stays this far below the
+# tolerance, well above the few 1e-16 of rounding in eigvalsh of a 4x4 state.
 ROUNDING_MARGIN = 1e-14
-
-
-def _ldl_certified(states: np.ndarray, shift: float) -> np.ndarray:
-    """Which members of an (N, 4, 4) stack have an LDL^H factorization with
-    four pivots > 0, i.e. are positive definite, once shifted by ``shift * I``.
-
-    The pivots are elementwise expressions over the entry columns; they read
-    the lower triangle and the real diagonal, as ``eigvalsh`` does. A NaN
-    pivot, from a matrix far from positive, counts as not positive.
-    """
-    a = states.transpose(1, 2, 0)   # a[i, j]: entry (i, j) of every member
-    p = np.empty((4, len(states)))
-    with np.errstate(all="ignore"):
-        np.add(a[0, 0].real, shift, out=p[0])
-        # conj(a_j0) / p0; the first Schur complement is s_ij = a_ij - a_i0 b_j
-        b1, b2, b3 = (a[j, 0].conj() / p[0] for j in (1, 2, 3))
-        np.subtract(a[1, 1].real + shift, (a[1, 0] * b1).real, out=p[1])
-        s21, s31 = a[2, 1] - a[2, 0] * b1, a[3, 1] - a[3, 0] * b1
-        s32 = a[3, 2] - a[3, 0] * b2
-        s22 = a[2, 2].real - (a[2, 0] * b2).real
-        s33 = a[3, 3].real - (a[3, 0] * b3).real
-        # conj(s_j1) / p1; the second Schur complement is t_ij = s_ij - s_i1 e_j
-        e2, e3 = s21.conj() / p[1], s31.conj() / p[1]
-        np.subtract(s22 + shift, (s21 * e2).real, out=p[2])
-        t32 = s32 - s31 * e2
-        p[3] = s33 + shift - (s31 * e3).real - (t32 * t32.conj()).real / p[2]
-        return (p > 0).all(axis=0)
 
 
 def _check_block(states: np.ndarray, start: int, drift_tol: float,
@@ -144,13 +116,6 @@ def _check_block(states: np.ndarray, start: int, drift_tol: float,
     herm = hermiticity_deviation(flat)
     tr = np.abs(np.trace(flat, axis1=-2, axis2=-1) - 1.0)
     finite = np.isfinite(herm)
-    # states that stay positive definite when shifted by
-    # drift_tol - ROUNDING_MARGIN have no eigenvalue below -drift_tol; only
-    # a block with some other state needs the eigenvalues
-    if (finite.all() and (herm <= drift_tol).all() and (tr <= drift_tol).all()
-            and _ldl_certified(states.reshape(-1, 4, 4),
-                               drift_tol - ROUNDING_MARGIN).all()):
-        return
     # eigvalsh rejects non-finite matrices: those states get a zero matrix
     # and report a nan minimum eigenvalue
     safe = flat if finite.all() else np.where(finite[..., None, None], flat, 0)

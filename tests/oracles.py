@@ -6,10 +6,9 @@ general route the package's closed forms specialize: the propagators as
 Kronecker products of the 2-qubit Hamiltonians (``local_hamiltonian``,
 ``heisenberg_interaction``, ``anisotropic_sm_interaction``), the Gibbs
 weights as they were before their overflow limit, the allocating collision
-loop and the LAPACK Cholesky certificate of its drift check, the
-Pauli-trace Bloch vectors (and ``density_from_bloch`` back) and the maps
-and spectra the array pass took from them, the 3x3 affine route of the
-tomography (maps r -> M r + c on Bloch vectors, adjugate inverses, 4x4
+loop, the Pauli-trace Bloch vectors (and ``density_from_bloch`` back) and
+the maps and spectra the array pass took from them, the 3x3 affine route of
+the tomography (maps r -> M r + c on Bloch vectors, adjugate inverses, 4x4
 superoperators and Choi matrices, ``eigvalsh`` spectra), the defining
 two-point KDQ expression, the whole-matrix Hermiticity deviation, the
 checked ``eigh`` decomposition, and trace norm, entropy and mutual
@@ -159,23 +158,6 @@ def replaced_sweep_point_config(spec, value):
                                     sm_interaction_kind=ANISOTROPIC,
                                     gamma=value)
     return dataclasses.replace(base, couplings=couplings)
-
-
-def cholesky_certified(states, shift):
-    """Which members of a (..., 4, 4) stack LAPACK's Cholesky factorization
-    accepts once ``shift`` is added to the diagonal, one member at a time.
-
-    The drift check took this certificate, for a whole block at once,
-    before it factorized the states in closed form.
-    """
-    flat = np.reshape(states, (-1, 4, 4)) + shift * np.eye(4)
-    ok = np.ones(len(flat), dtype=bool)
-    for i, member in enumerate(flat):
-        try:
-            np.linalg.cholesky(member)
-        except np.linalg.LinAlgError:
-            ok[i] = False
-    return ok.reshape(np.shape(states)[:-2])
 
 
 # ------------------------------------------------------------- tomography

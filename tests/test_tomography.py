@@ -132,7 +132,7 @@ def test_phase_covariant_maps_equal_the_pauli_trace_route_bit_for_bit():
 def test_reconstruct_unevolved_probes_gives_identity():
     # the probes have one owner: a read-only constant, from which the
     # identity map is read bit for bit (Im d = -(x(PR) + y(P+))/2 is -0.0)
-    # and which the pipeline evolves as it is
+    # and which the pipeline evolves as it is, beside the physical state
     identity = IDENTITY.copy()
     identity.imag[3] = -0.0
     assert same_bits(phase_covariant_maps(PROBES), identity)
@@ -141,7 +141,11 @@ def test_reconstruct_unevolved_probes_gives_identity():
         PROBES[0, 0, 0] = 0.5
     config = RunConfig(n_max=3)
     states = analyze(config).states[:, 1:]
-    assert same_bits(states, evolve_grid([config], PROBES)[0][:, 0])
+    # evolve_grid's rounding may depend on the number of states it steps
+    # together (a BLAS kernel may round each matrix width differently), so
+    # the five states of a run are compared with five
+    five = np.concatenate([config.initial_system[np.newaxis], PROBES])
+    assert same_bits(states, evolve_grid([config], five)[0][:, 0, 1:])
     # the states at n = 0 are PROBES themselves, so the cumulative map at
     # n = 0 is the identity bit for bit
     assert same_bits(states[0], PROBES)
