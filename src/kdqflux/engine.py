@@ -89,11 +89,10 @@ class RunConfig:
 # memory as (4G, 2, 4k) and (4G, 1, 4k) arrays: rows (point, row), columns
 # (state, column).
 
-# Joint states are checked for invariant drift in blocks of at least
-# CHECK_BLOCK collisions and of about CHECK_STATES states (a single run
-# checks 256 collisions at a time), so the check never holds the whole joint
-# history, and its fixed cost per block is spread over enough states.
-CHECK_BLOCK = 64
+# The loop keeps the joint states of about CHECK_STATES states (a single
+# run's 256 collisions; at least one collision) and traces and checks them a
+# block at a time, so it never holds the whole joint history, and the fixed
+# cost per block is spread over enough states.
 CHECK_STATES = 1280
 
 # The drift bound that lets a call skip the check stays this far below the
@@ -109,10 +108,11 @@ def _check_block(states: np.ndarray, start: int, drift_tol: float,
     unless an earlier block already did. A state with a non-finite entry
     (from overflowing inputs) makes ``herm`` non-finite and is an offending
     one, so it fails only its own point. ``evolve_grid`` calls it only when
-    ``_drift_bound`` cannot prove that every state passes.
+    ``_drift_bound`` cannot prove that every state passes. Its contiguous
+    copy keeps the sums of ``np.trace`` independent of the caller's layout.
     """
     m, g, k = states.shape[:3]
-    flat = states.reshape(m, g * k, 4, 4)
+    flat = np.ascontiguousarray(states).reshape(m, g * k, 4, 4)
     herm = hermiticity_deviation(flat)
     tr = np.abs(np.trace(flat, axis1=-2, axis2=-1) - 1.0)
     finite = np.isfinite(herm)
@@ -234,22 +234,18 @@ def evolve_grid(configs, initial_systems: np.ndarray
                  <= min(DRIFT_TOL - ROUNDING_MARGIN, 1.0)).all()
 
     n1 = n_max + 1
-    size = min(max(CHECK_BLOCK, CHECK_STATES // (g * k)), n1)
+    size = min(max(1, CHECK_STATES // (g * k)), n1)
     system = np.empty((n1, g, k, 2, 2), dtype=complex)
     errors: list[InvariantDriftError | None] = [None] * g
 
     # the loop's joint states, [slot, point, row, state, column]: collision
-    # n is written to slot n % size, and a full block is checked at once;
-    # the S-M half of a collision writes its output to ``half``
+    # n is written to slot n % size, the S-M half of its collision first,
+    # and a full block is traced (and, if need be, checked) at once
     rows, cols = 4 * g, 4 * k
     block = np.empty((size, g, 4, k, 4), dtype=complex)
     np.einsum("kij,gab->giakjb", initial_systems, rho_m,
               out=block[0].reshape(g, 2, 2, k, 2, 2))
     slots = list(block.reshape(size, rows, 1, cols))
-    half = np.empty((rows, 1, cols), dtype=complex)
-    # a full block, copied to [slot, point, state, row, column] for the check
-    # and the system-state trace
-    checked = np.empty((size, g, k, 4, 4), dtype=complex)
     # x (x) rho_A, u @ (x (x) rho_A) and its product with u_dag. rho_A is
     # diagonal (model.thermal_state), so the blocks of x (x) rho_A off its
     # diagonal stay zero and only the two diagonal ones are written,
@@ -269,19 +265,22 @@ def evolve_grid(configs, initial_systems: np.ndarray
             multiply(slots[j - 1], p_a, out=xe_diag)
             matmul(u_sm, xe_flat, out=y)
             matmul(y_r, u_sm_dag, out=z)
-            add(z00, z11, out=half)
-            multiply(half, p_a, out=xe_diag)
+            add(z00, z11, out=slots[j])
+            multiply(slots[j], p_a, out=xe_diag)
             matmul(u_ma, xe_flat, out=y)
             matmul(y_r, u_ma_dag, out=z)
             add(z00, z11, out=slots[j])
         if j == size - 1 or n == n_max:
-            start, states = n - j, checked[:j + 1]
-            np.copyto(states, block[:j + 1].transpose(0, 1, 3, 2, 4))
-            np.einsum("ngkaibi->ngkab",
-                      states.reshape(j + 1, g, k, 2, 2, 2, 2),
-                      out=system[start:n + 1])
+            start, ring = n - j, block[:j + 1]
+            # the memory trace; adding 0.0 gives a -0.0 sum the +0.0 of a
+            # sum that starts from zero
+            x = ring.reshape(j + 1, g, 2, 2, k, 2, 2)
+            out = system[start:n + 1].transpose(0, 1, 3, 2, 4)
+            add(x[..., 0, :, :, 0], x[..., 1, :, :, 1], out=out)
+            add(out, 0.0, out=out)
             if not certified:
-                _check_block(states, start, DRIFT_TOL, errors)
+                _check_block(ring.transpose(0, 1, 3, 2, 4), start, DRIFT_TOL,
+                             errors)
     # the traced joint states at n = 0 are the inputs times Tr rho_M, which
     # is 1 only to within an ulp
     system[0] = initial_systems

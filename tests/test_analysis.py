@@ -14,6 +14,11 @@ from oracles import (affine_family, affine_to_superoperator, choi, kdq_general,
 from test_witnesses import zero_table
 
 SWAP_TAU = np.pi / (2 * 0.2)
+# the largest |N_q| on the reference point's CP rows, where the exact N_q is
+# 0 (test_nq_on_cp_rows_bounds_the_accuracy), and that plus a third: the
+# accuracy to which N_q >= 0 holds on the reference point's rows
+REFERENCE_CP_NQ = 6.97e-14
+NQ_ACCURACY = REFERENCE_CP_NQ * (1 + 1 / 3)
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +38,7 @@ def test_witness_windows_small_scale(fig1_short):
 def test_record_invariants(fig1_short):
     nq = fig1_short.record_array("n_q")
     g = fig1_short.record_array("g_n")
-    assert np.all(nq >= 0.0)
+    assert np.all(nq >= -NQ_ACCURACY)
     assert np.all(g >= -1e-12)
     steps = fig1_short.record_array("n")
     assert np.array_equal(steps, np.arange(1, 121))
@@ -213,7 +218,7 @@ def test_reconstructed_family_has_identity_at_n0(fig1_short):
 
 
 @pytest.mark.parametrize("config, cp_rows, measured", [
-    (RunConfig(), 354, 6.97e-14),
+    (RunConfig(), 354, REFERENCE_CP_NQ),
     (RunConfig(couplings=CouplingParams(sm_interaction_kind=ANISOTROPIC,
                                         gamma=-0.4)), 219, 1.50e-13),
     (RunConfig(spins=SpinParams(omega_s=0.95)), 513, 6.74e-13),

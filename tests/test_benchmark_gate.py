@@ -22,7 +22,7 @@ import kdqflux.cli  # noqa: F401  (the run and sweep workloads call kdqflux.cli)
 BENCH_DIR = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(BENCH_DIR))
 
-from checks import check, load_reference, reference_path  # noqa: E402
+from checks import Reference, check, load_reference, reference_path  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 SEED = 0
@@ -35,9 +35,15 @@ OPS = {"reference_run": range(0, 100, 10), "detuning_sweep": range(40),
 def test_first_ops_pass_the_recorded_gate(name, tmp_path):
     workload = WORKLOADS[name](kdqflux, tmp_path)
     reference = load_reference(reference_path(name))
-    for index in OPS[name]:
-        op = workload.op(SEED, index)
-        assert op.key in reference, f"op {index} was not recorded"
-        prepared = workload.prepare(op)
-        outcome = workload.read(prepared, workload.run(prepared))
-        assert check(op, outcome, reference) is None, f"op {index}"
+    try:
+        for index in OPS[name]:
+            op = workload.op(SEED, index)
+            assert op.key in reference, f"op {index} was not recorded"
+            prepared = workload.prepare(op)
+            outcome = workload.read(prepared, workload.run(prepared))
+            assert check(op, outcome, reference) is None, f"op {index}"
+    finally:
+        # Reference has no close: a failing op would leave its npz file open
+        # for a ResourceWarning in some later test
+        if isinstance(reference, Reference):
+            reference._data.close()

@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 from kdqflux import engine, model
 from kdqflux.analysis import TOL_POS, analyze, evolve_runs
 from kdqflux.cli import load_config, sweep_point_config, sweep_points
-from kdqflux.engine import (CHECK_BLOCK, CHECK_STATES, DRIFT_TOL,
-                            ROUNDING_MARGIN, InvariantDriftError, RunConfig,
-                            _check_block, _drift_bound, evolve_grid)
+from kdqflux.engine import (CHECK_STATES, DRIFT_TOL, ROUNDING_MARGIN,
+                            InvariantDriftError, RunConfig, _check_block,
+                            _drift_bound, evolve_grid)
 from kdqflux.model import (ANISOTROPIC, ISOTROPIC, CouplingParams, SpinParams,
                            ThermalSpec, collision_unitaries, thermal_state)
 from kdqflux.tomography import COND_THRESHOLD, PROBES, SINGULAR_DET
 from oracles import (density_from_bloch, eigvalsh_density_check,
                      exp_thermal_state, hermiticity_max, joint_history,
-                     local_hamiltonian, partial_trace)
+                     local_hamiltonian, partial_trace, same_bits)
 from test_batched_pipeline import _random_short_config
 
 I2 = np.eye(2, dtype=complex)
@@ -132,8 +132,10 @@ def test_evolve_batch_matches_sequential_steps():
 
 # ------------------------------------------------------------ grid stacks
 
-# three invariant-check blocks: at G = 6 a block holds CHECK_BLOCK collisions
-GRID_N_MAX = 2 * CHECK_BLOCK + 20
+# 149 states per trajectory: at G = 6 and k = 5 the loop traces (and checks)
+# CHECK_STATES // 30 = 42 collisions at a time, so four blocks, the last one
+# partial
+GRID_N_MAX = 148
 GRID = [
     RunConfig(n_max=GRID_N_MAX),
     RunConfig(spins=SpinParams(omega_s=0.8, omega_m=1.1, omega_a=0.9),
@@ -338,9 +340,10 @@ def test_drift_check_state_failing_cholesky_but_not_eigvalsh_passes():
     assert errors == [None] * 3
 
 
-def _certificate_cases(rng, tol):
+def _boundary_states(rng, tol):
     """Random rotated states with their minimum eigenvalue at and around
-    -tol, at 0 and well below -tol, and random pure states."""
+    -tol (one level ROUNDING_MARGIN above it, just inside the bound), at 0
+    and well below -tol, and random pure states."""
     levels = (-2 * tol, -tol * (1 + 1e-6), -tol, -tol * (1 - 1e-6),
               -tol + ROUNDING_MARGIN, 0.0)
     rotations, _ = np.linalg.qr(rng.normal(size=(len(levels), 100, 4, 4))
@@ -353,12 +356,12 @@ def _certificate_cases(rng, tol):
     return np.stack(states)
 
 
-def test_closed_form_certificate_in_multi_point_blocks():
+def test_eigenvalue_rule_in_multi_point_blocks():
     # boundary states among clean ones in blocks of three points: every
     # point fails exactly at its first state that eigvalsh puts below -tol
     rng = np.random.default_rng(23)
     tol = DRIFT_TOL
-    cases = _certificate_cases(rng, tol)
+    cases = _boundary_states(rng, tol)
     clean = _state_with_min_eig(0.1, np.eye(4)).astype(complex)
     for _ in range(20):
         block = np.broadcast_to(clean, (8, 3, 5, 4, 4)).copy()
@@ -488,8 +491,56 @@ def test_certified_and_checked_calls_give_the_same_results(monkeypatch):
     # ... and checked, block by block, once DRIFT_TOL is lowered to it
     monkeypatch.setattr(engine, "DRIFT_TOL", bound)
     checked, errors = evolve_grid(GRID, states)
-    assert spy.checks == 3 and errors == [None] * len(GRID)
+    size = CHECK_STATES // (len(GRID) * len(states))
+    assert spy.checks == -(-(GRID_N_MAX + 1) // size) == 4
+    assert errors == [None] * len(GRID)
     assert checked.tobytes() == certified.tobytes()
+
+
+@pytest.mark.parametrize("slots", [1, 2])
+def test_ring_of_one_or_two_slots_gives_the_same_results(monkeypatch, slots):
+    # a chunk of more than CHECK_STATES / 2 states per collision (from 129
+    # points on) keeps a single collision in its ring, whose S-M half then
+    # overwrites the slot it reads: the states, and with the certificate
+    # denied the errors, are those of the default ring, which holds 256 or
+    # 42 collisions here
+    states = np.concatenate([I2[np.newaxis] / 2, PROBES])
+    for configs in ([RunConfig()], GRID):
+        n1 = configs[0].n_max + 1
+        for tol in (DRIFT_TOL, 3e-14, 1e-14):
+            monkeypatch.setattr(engine, "DRIFT_TOL", tol)
+            want, want_errors = evolve_grid(configs, states)
+            with monkeypatch.context() as patch:
+                patch.setattr(engine, "CHECK_STATES",
+                              slots * len(configs) * len(states))
+                spy = _Spy(patch)
+                got, errors = evolve_grid(configs, states)
+            assert same_bits(got, want)
+            assert [(e.step, str(e)) for e in errors if e] == [
+                (e.step, str(e)) for e in want_errors if e]
+            # certified at DRIFT_TOL, checked one block of `slots` at a time
+            # below it, where some point drifts
+            denied = tol < DRIFT_TOL
+            assert spy.checks == denied * -(-n1 // slots)
+            assert any(errors) == denied
+
+
+def test_memory_trace_reads_zeros_as_a_sum_from_zero(monkeypatch):
+    # every zero of the unitary products is made -0.0, so the loop's joint
+    # states hold zero entries as -0.0 pairs; their memory trace is +0.0,
+    # as in a sum that starts from zero
+    matmul = np.matmul
+
+    def negative_zeros(a, b, out):
+        matmul(a, b, out=out)
+        out.real[out.real == 0] = -0.0
+        out.imag[out.imag == 0] = -0.0
+        return out
+    monkeypatch.setattr(np, "matmul", negative_zeros)
+    system, _ = evolve_grid([RunConfig(n_max=5)], PROBES)
+    for part in (system[1:].real, system[1:].imag):
+        zeros = part[part == 0]
+        assert zeros.size and not np.signbit(zeros).any()
 
 
 def test_drift_certificate_is_denied_for_non_finite_inputs(monkeypatch):
