@@ -9,12 +9,13 @@ Two subcommands cover the workflows:
 Configuration is one flat dict of keys (``_KEYS``), each source overriding
 the ones before it: defaults (the resonant reference run: omega = 1,
 g = 0.2, tau1 = tau2 = 0.2, beta = 1, n_max = 1000, initial state I/2), an
-optional key=value text file, repeatable ``--set key=value`` flags,
-``KDQFLUX_OUTPUT_DIR``, ``--out``. ``_run_config`` and ``_config_keys`` turn
-the physical keys into a RunConfig and back, for a run, for each sweep point
-and for the ``params`` of the JSON files. A run always writes
-collisions.csv and summary.json, a sweep sweep.csv and sweep.json; the files
-are deterministic: 17-significant-digit CSV and schema-versioned JSON.
+optional key=value text file, repeatable ``--set key=value`` flags and
+``--out``; ``--workers`` sets a sweep's process count. ``_run_config`` and
+``_config_keys`` turn the physical keys into a RunConfig and back, for a
+run, for each sweep point and for the ``params`` of the JSON files. A run
+always writes collisions.csv and summary.json, a sweep sweep.csv and
+sweep.json; the files are deterministic: 17-significant-digit CSV and
+schema-versioned JSON.
 
 Exit codes: 0 success, 1 configuration or usage error, 2 runtime/numerical
 failure, 3 partial sweep failure.
@@ -24,7 +25,6 @@ import argparse
 import dataclasses
 import functools
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,7 +38,6 @@ from .model import (ANISOTROPIC, ISOTROPIC, CouplingParams, SpinParams,
 from .tomography import SingularMapError
 
 SCHEMA_VERSION = 1
-OUTPUT_DIR_ENV = "KDQFLUX_OUTPUT_DIR"
 
 SINGLE_RUN = "single_run"
 DETUNING_SWEEP = "detuning_sweep"
@@ -76,12 +75,6 @@ class ConfigError(Exception):
     """Base for configuration failures (exit code 1)."""
 
 
-class MissingKeyError(ConfigError):
-    def __init__(self, key: str):
-        self.key = key
-        super().__init__(f"missing value for key {key!r}")
-
-
 class InvalidValueError(ConfigError):
     def __init__(self, key: str, reason: str):
         self.key = key
@@ -102,7 +95,7 @@ class ExperimentSpec:
 def _parse_value(key: str, raw: str):
     raw = raw.strip()
     if not raw:
-        raise MissingKeyError(key)
+        raise InvalidValueError(key, "missing value")
     if key not in _KEYS:
         raise InvalidValueError(key, "unknown key")
     kind = _KEYS[key][0]
@@ -124,7 +117,7 @@ def parse_overrides(pairs) -> dict:
     for pair in pairs:
         key, eq, raw = pair.partition("=")
         if not eq:
-            raise MissingKeyError(pair)
+            raise InvalidValueError(pair, "missing value")
         key = key.strip().lower()
         values[key] = _parse_value(key, raw)
     return values
@@ -368,10 +361,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override a configuration key (repeatable)")
         p.add_argument("--out", type=Path, default=None,
-                       help="output directory (wins over env and file)")
-        p.add_argument("--workers", type=int, default=1,
-                       help="sweep: processes that evolve chunks of grid "
-                            "points in parallel")
+                       help="output directory (wins over --set and file)")
+        if name == "sweep":
+            p.add_argument("--workers", type=int, default=1,
+                           help="processes that evolve chunks of grid points "
+                                "in parallel")
         p.add_argument("--quiet", action="store_true",
                        help="suppress progress output")
     return parser
@@ -381,9 +375,8 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         overrides = parse_overrides(args.set)
-        out = args.out or os.environ.get(OUTPUT_DIR_ENV)
-        if out:
-            overrides["output_dir"] = out
+        if args.out:
+            overrides["output_dir"] = args.out
         spec = load_config(args.config, overrides)
         if args.command == "run" and spec.kind != SINGLE_RUN:
             raise InvalidValueError("kind", "the run subcommand requires single_run")
@@ -391,7 +384,7 @@ def main(argv=None) -> int:
             raise InvalidValueError(
                 "kind", "the sweep subcommand requires detuning_sweep or "
                         "anisotropy_sweep")
-        if args.workers < 1:
+        if args.command == "sweep" and args.workers < 1:
             raise InvalidValueError("workers", "must be >= 1")
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -20,7 +20,9 @@ it took ``eigvalsh``. The ``stacked_eigvalsh2`` function is
 a given determinant; without one, the preallocating one must match it bit
 for bit. ``replaced_sweep_point_config`` is ``cli.sweep_point_config`` as
 it rebuilt a grid point from the base configuration with nested
-``dataclasses.replace``.
+``dataclasses.replace``. ``longdouble_states`` is the collision model
+evolved in extended precision (numpy's ``clongdouble``), the reference the
+pipeline's rounding is measured against.
 """
 
 import dataclasses
@@ -158,6 +160,96 @@ def replaced_sweep_point_config(spec, value):
                                     sm_interaction_kind=ANISOTROPIC,
                                     gamma=value)
     return dataclasses.replace(base, couplings=couplings)
+
+
+# ---------------------------------------------------- extended precision
+
+def _ld_pauli_products():
+    """Three-qubit Kronecker products of the Pauli matrices in clongdouble,
+    keyed by their labels on S, M and A ("ZII", "XXI", ...)."""
+    paulis = {"I": IDENTITY_2, "X": SIGMA_X, "Y": SIGMA_Y, "Z": SIGMA_Z}
+    labels = ("ZII", "IZI", "IIZ", "XXI", "YYI", "ZZI", "IXX", "IYY", "IZZ")
+    return {s: np.kron(np.kron(paulis[s[0]], paulis[s[1]]), paulis[s[2]])
+            .astype(np.clongdouble) for s in labels}
+
+
+def longdouble_hamiltonians(spins, couplings):
+    """The S-M and M-A Hamiltonians of ``model.collision_unitaries``, every
+    coefficient formed in long double from the configuration's doubles."""
+    ld, pp = np.longdouble, _ld_pauli_products()
+    free = (ld(spins.omega_s) / 2 * pp["ZII"] + ld(spins.omega_m) / 2 * pp["IZI"]
+            + ld(spins.omega_a) / 2 * pp["IIZ"])
+    if couplings.sm_interaction_kind == ANISOTROPIC:
+        strength = (ld(couplings.g_sm) / 2 if couplings.aniso_strength is None
+                    else ld(couplings.aniso_strength))
+        gamma = ld(couplings.gamma)
+        h_sm = strength * ((1 - gamma) / 2 * pp["XXI"]
+                           + (1 + gamma) / 2 * pp["YYI"] + pp["ZZI"])
+    else:
+        h_sm = ld(couplings.g_sm) / 2 * (pp["XXI"] + pp["YYI"] + pp["ZZI"])
+    h_ma = ld(couplings.g_ma) / 2 * (pp["IXX"] + pp["IYY"] + pp["IZZ"])
+    return free + h_sm, free + h_ma
+
+
+def longdouble_expm(a):
+    """exp(a) of a clongdouble matrix: scaled to a norm of at most 1/2, 30
+    Taylor terms (a remainder below 1e-40), then squared back."""
+    norm = float(np.abs(a).sum(axis=0).max())
+    squarings = max(0, int(np.ceil(np.log2(norm))) + 1) if norm else 0
+    a = a / np.longdouble(2) ** squarings
+    term = out = np.eye(len(a), dtype=np.clongdouble)
+    for j in range(1, 30):
+        term = term @ a / j
+        out = out + term
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+def _longdouble_gibbs(beta, omega):
+    """The Gibbs weights of (omega/2) sigma_z in long double, |0> first."""
+    x = np.longdouble(beta) * np.longdouble(omega) / 2
+    w = np.exp(np.array([-x, x]))
+    return w / w.sum()
+
+
+def _longdouble_half(u, p_a):
+    """The 16x16 map on row-major vec(rho_SM) of one half-collision,
+    Tr_A[u (rho_SM (x) diag(p_a)) u^H], as the sum over its Kraus operators
+    K = sqrt(p_a) <b|u|a> of K (x) conj(K)."""
+    v = u.reshape(4, 2, 4, 2)        # [S-M row, A row, S-M column, A column]
+    kraus = [np.sqrt(p_a[a]) * v[:, b, :, a] for a in range(2) for b in range(2)]
+    return sum(np.kron(k, k.conj()) for k in kraus)
+
+
+def longdouble_states(config, initial_systems):
+    """The (n_max + 1, k, 2, 2) clongdouble system states of the k
+    ``initial_systems`` under ``config``, evolved one collision at a time.
+
+    The propagators are ``longdouble_expm`` of ``longdouble_hamiltonians``;
+    each collision applies the 16x16 map of its two halves to the joint
+    states, with the Gibbs weights of M and A in long double. Against a
+    40-digit mpmath evolution of the reference point, of ``gamma = -0.4``
+    and of detuning -0.05, the states agree to 1.3e-16 over 1000 collisions
+    and the propagators to 1.1e-19.
+    """
+    c, beta = config.couplings, config.thermal.beta
+    h_sm, h_ma = longdouble_hamiltonians(config.spins, c)
+    p_a = _longdouble_gibbs(beta, config.spins.omega_a)
+    rho_m = np.diag(_longdouble_gibbs(beta, config.spins.omega_m))
+    collision = (
+        _longdouble_half(longdouble_expm(-1j * np.longdouble(c.tau2) * h_ma), p_a)
+        @ _longdouble_half(longdouble_expm(-1j * np.longdouble(c.tau1) * h_sm), p_a))
+    initial = np.asarray(initial_systems).astype(np.clongdouble)
+    k = len(initial)
+    joint = np.empty((config.n_max + 1, 16, k), dtype=np.clongdouble)
+    joint[0] = np.stack([np.kron(r, rho_m) for r in initial]).reshape(k, 16).T
+    for n in range(config.n_max):
+        joint[n + 1] = collision @ joint[n]
+    x = joint.transpose(0, 2, 1).reshape(-1, k, 2, 2, 2, 2)
+    states = x[..., :, 0, :, 0] + x[..., :, 1, :, 1]
+    states[0] = initial
+    return states
 
 
 # ------------------------------------------------------------- tomography

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from kdqflux import cli, engine, model
 from kdqflux.analysis import analyze
 from kdqflux.cli import (COLLISION_HEADER, SWEEP_HEADER, ExperimentSpec,
-                         InvalidValueError, MissingKeyError, load_config,
+                         InvalidValueError, load_config,
                          main, parse_overrides, run_single, run_sweep,
                          sweep_point_config)
 from kdqflux.model import ANISOTROPIC, ISOTROPIC
@@ -88,9 +88,9 @@ def test_invalid_values_rejected(tmp_path):
         parse_overrides(["frequency=2"])      # unknown key
     with pytest.raises(InvalidValueError):
         parse_overrides(["n_max=ten"])
-    with pytest.raises(MissingKeyError):
+    with pytest.raises(InvalidValueError, match="'n_max': missing value"):
         parse_overrides(["n_max"])
-    with pytest.raises(MissingKeyError):
+    with pytest.raises(InvalidValueError, match="'n_max': missing value"):
         parse_overrides(["n_max="])
     bad = tmp_path / "bad.cfg"
     bad.write_text("this line has no equals\n")
@@ -100,14 +100,14 @@ def test_invalid_values_rejected(tmp_path):
 
 @pytest.mark.parametrize("pair, message", [
     ("frequency=2", "invalid value for key 'frequency': unknown key"),
-    ("frequency=", "missing value for key 'frequency'"),
+    ("frequency=", "invalid value for key 'frequency': missing value"),
     ("n_max=ten", "invalid value for key 'n_max': 'ten' is not an integer"),
     ("g_sm=strong", "invalid value for key 'g_sm': 'strong' is not a number"),
     ("grid_min=inf", "invalid value for key 'grid_min': must be finite"),
     ("omega_s=nan", "invalid value for key 'omega_s': must be finite"),
 ])
 def test_parse_errors_name_the_key_and_the_reason(pair, message):
-    with pytest.raises((InvalidValueError, MissingKeyError)) as error:
+    with pytest.raises(InvalidValueError) as error:
         parse_overrides([pair])
     assert str(error.value) == message
 
@@ -314,15 +314,16 @@ def test_run_singular_flushes_partial_output_and_exits_2(tmp_path):
     [],                                      # no subcommand
     ["frobnicate"],                          # unknown subcommand
     ["run", "--bogus"],                      # unknown flag
-    ["run", "--workers", "abc"],             # flag value of the wrong type
+    ["sweep", "--workers", "abc"],           # flag value of the wrong type
     ["sweep", "--set"],                      # flag without its value
     ["run", "--format", "csv"],              # a removed flag
+    ["run", "--workers", "2"],               # a sweep-only flag
+    ["run", "--workers", "0"],
 ])
 def test_usage_errors_are_configuration_errors(tmp_path, monkeypatch, capsys,
                                                argv):
     # argparse would exit 2, the code of a runtime failure, by SystemExit
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("KDQFLUX_OUTPUT_DIR", raising=False)
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -344,7 +345,8 @@ def test_config_error_exit_code():
     assert main(["run", "--set", "beta=-1", "--quiet"]) == 1
     assert main(["run", "--set", "kind=detuning_sweep", "--quiet"]) == 1
     assert main(["sweep", "--quiet"]) == 1     # default kind is single_run
-    assert main(["run", "--workers", "0", "--quiet"]) == 1
+    assert main(["sweep", "--set", "kind=detuning_sweep", "--workers", "0",
+                 "--quiet"]) == 1
 
 
 @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
@@ -362,21 +364,12 @@ def test_unreadable_config_file_is_a_configuration_error(tmp_path, capsys, kind)
     assert not out.exists()
 
 
-def test_env_var_sets_output_dir(tmp_path, monkeypatch):
-    env_dir = tmp_path / "envout"
-    monkeypatch.setenv("KDQFLUX_OUTPUT_DIR", str(env_dir))
-    assert main(["run", "--set", "n_max=2", "--quiet"]) == 0
-    assert (env_dir / "collisions.csv").exists()
-    flag_dir = tmp_path / "flagout"
-    assert main(["run", "--set", "n_max=2", "--out", str(flag_dir), "--quiet"]) == 0
-    assert (flag_dir / "collisions.csv").exists()
-
-
 def test_output_dir_precedence(tmp_path, monkeypatch):
-    # --out wins over KDQFLUX_OUTPUT_DIR, which wins over the output_dir key
-    # (from --set or the file), which wins over ./out
+    # --out wins over the output_dir key (from --set, which wins over the
+    # file), which wins over ./out; the KDQFLUX_OUTPUT_DIR variable of
+    # earlier versions moves nothing
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("KDQFLUX_OUTPUT_DIR", raising=False)
+    monkeypatch.setenv("KDQFLUX_OUTPUT_DIR", str(tmp_path / "env"))
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"output_dir = {tmp_path / 'file'}\n", encoding="utf-8")
 
@@ -390,9 +383,8 @@ def test_output_dir_precedence(tmp_path, monkeypatch):
     assert written_to() == "out"
     assert written_to("--config", str(cfg)) == "file"
     assert written_to(*key) == "key"
-    monkeypatch.setenv("KDQFLUX_OUTPUT_DIR", str(tmp_path / "env"))
-    assert written_to(*key) == "env"
     assert written_to(*key, "--out", str(tmp_path / "flag")) == "flag"
+    assert not (tmp_path / "env").exists()
 
 
 def test_consecutive_main_calls_parse_independently(monkeypatch):
