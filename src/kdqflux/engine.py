@@ -100,8 +100,7 @@ CHECK_STATES = 1280
 ROUNDING_MARGIN = 1e-14
 
 
-def _check_block(states: np.ndarray, start: int, drift_tol: float,
-                 errors: list) -> None:
+def _check_block(states: np.ndarray, start: int, errors: list) -> None:
     """Invariant check of the (m, G, k, 4, 4) joint states ``start..start+m-1``.
 
     Sets ``errors[g]`` to the error of point g's first offending collision,
@@ -120,7 +119,8 @@ def _check_block(states: np.ndarray, start: int, drift_tol: float,
     # and report a nan minimum eigenvalue
     safe = flat if finite.all() else np.where(finite[..., None, None], flat, 0)
     min_eig = np.where(finite, np.linalg.eigvalsh(safe).min(axis=-1), np.nan)
-    bad = ~finite | (herm > drift_tol) | (tr > drift_tol) | (min_eig < -drift_tol)
+    bad = (~finite | (herm > DRIFT_TOL) | (tr > DRIFT_TOL)
+           | (min_eig < -DRIFT_TOL))
     if not bad.any():
         return
     bad = bad.reshape(m, g, k)
@@ -279,8 +279,7 @@ def evolve_grid(configs, initial_systems: np.ndarray
             add(x[..., 0, :, :, 0], x[..., 1, :, :, 1], out=out)
             add(out, 0.0, out=out)
             if not certified:
-                _check_block(ring.transpose(0, 1, 3, 2, 4), start, DRIFT_TOL,
-                             errors)
+                _check_block(ring.transpose(0, 1, 3, 2, 4), start, errors)
     # the traced joint states at n = 0 are the inputs times Tr rho_M, which
     # is 1 only to within an ulp
     system[0] = initial_systems

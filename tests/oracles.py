@@ -18,8 +18,10 @@ from. ``eigvalsh_density_check`` is ``RunConfig``'s initial-state check as
 it took ``eigvalsh``. The ``stacked_eigvalsh2`` function is
 ``linalg.eigvalsh2`` as it assembled its output with ``np.stack`` and took
 a given determinant; without one, the preallocating one must match it bit
-for bit. ``replaced_sweep_point_config`` is ``cli.sweep_point_config`` as
-it rebuilt a grid point from the base configuration with nested
+for bit. ``inject_trace_drift`` is a defect that makes chosen runs drift at
+chosen collisions, for the drift check's tests.
+``replaced_sweep_point_config`` is ``cli.sweep_point_config`` as it rebuilt
+a grid point from the base configuration with nested
 ``dataclasses.replace``. ``longdouble_states`` is the collision model
 evolved in extended precision (numpy's ``clongdouble``), the reference the
 pipeline's rounding is measured against.
@@ -31,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from kdqflux import witnesses
+from kdqflux import engine, model, witnesses
 from kdqflux.linalg import (HERMITICITY_TOL, _require_hermitian,
                             exp_hermitian_generator)
 from kdqflux.model import (ANISOTROPIC, IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z,
@@ -113,6 +115,23 @@ def exp_thermal_state(spec, omega):
     w = np.exp(-spec.beta * np.array([omega / 2.0, -omega / 2.0]))
     w /= w.sum()
     return np.diag(w).astype(complex)
+
+
+def inject_trace_drift(monkeypatch, steps):
+    """Make each configuration of ``steps``, (config, n*) pairs, drift first
+    at collision n*: its Gibbs weights are scaled by 1 + delta, delta =
+    DRIFT_TOL / (2 n*), which denies the drift certificate and gives its joint
+    states of collision n the trace (1 + delta)^(2n + 1) (rho_M and 2n rho_A),
+    whose excess passes DRIFT_TOL midway between collisions n* - 1 and n*,
+    far above rounding. A configuration is known by its ``ThermalSpec``
+    object. Returns the trace excess at each n*."""
+    steps = list(steps)
+    scale = {id(config.thermal): 1.0 + engine.DRIFT_TOL / (2 * step)
+             for config, step in steps}
+    monkeypatch.setattr(model, "thermal_state", lambda spec, omega: (
+        thermal_state(spec, omega) * scale.get(id(spec), 1.0)))
+    return [scale[id(config.thermal)] ** (2 * step + 1) - 1.0
+            for config, step in steps]
 
 
 def _half_step(x, u, u_dag, env):

@@ -209,18 +209,19 @@ def test_singular_swap_truncates_like_the_scalar_route():
 
 def test_invariant_drift_truncates_with_partial_result(monkeypatch):
     config = RunConfig(n_max=200)
-    full = analyze(config)
-    monkeypatch.setattr(engine, "DRIFT_TOL", 1e-14)
+    oracles.inject_trace_drift(monkeypatch, [(config, 150)])
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "_check_block", lambda *args: None)
+        full = analyze(config)
     with pytest.raises(RuntimeError) as exc_info:
         analyze(config)
     err = exc_info.value
-    assert isinstance(err, InvariantDriftError)
-    assert 1 <= err.step < config.n_max
+    assert isinstance(err, InvariantDriftError) and err.step == 150
     partial = err.partial_result
     assert len(partial.records) == err.step - 1
     assert len(partial.family) == len(partial.states) == err.step
     assert partial.summary.n_max == config.n_max
-    # the rows before the drift are those of the run at the default bound
+    # the rows before the drift are those of the same run, unchecked
     assert partial.records == full.records[:err.step - 1]
     assert np.array_equal(partial.states, full.states[:err.step])
 
@@ -289,13 +290,15 @@ def test_drifting_grid_point_fails_at_its_own_step(monkeypatch):
                RunConfig(spins=SpinParams(omega_s=0.9), n_max=200),
                RunConfig(couplings=CouplingParams(g_sm=0.3, tau2=0.1),
                          thermal=ThermalSpec(beta=0.5), n_max=200)]
-    full = _analyze_grid(configs)   # default bound
-    monkeypatch.setattr(engine, "DRIFT_TOL", 1e-14)
+    steps = [60, 130, 199]
+    oracles.inject_trace_drift(monkeypatch, zip(configs, steps))
+    with monkeypatch.context() as patch:
+        patch.setattr(engine, "_check_block", lambda *args: None)
+        full = _analyze_grid(configs)
     outcomes = _analyze_grid(configs)
-    assert len({drift.step for drift in outcomes}) == len(configs)
+    assert [drift.step for drift in outcomes] == steps
     for config, drift, want in zip(configs, outcomes, full):
         assert isinstance(drift, InvariantDriftError)
-        assert 1 <= drift.step < 200
         _assert_same_outcome(drift, _analyze_alone(config))
         assert drift.partial_result.records == want.records[:drift.step - 1]
 

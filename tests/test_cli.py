@@ -19,7 +19,7 @@ from kdqflux.cli import (COLLISION_HEADER, SWEEP_HEADER, ExperimentSpec,
                          main, parse_overrides, run_single, run_sweep,
                          sweep_point_config)
 from kdqflux.model import ANISOTROPIC, ISOTROPIC
-from oracles import replaced_sweep_point_config
+from oracles import inject_trace_drift, replaced_sweep_point_config
 from test_analysis import NQ_ACCURACY
 
 SWAP_TAU = np.pi / (2 * 0.2)
@@ -593,13 +593,13 @@ def test_detuning_sweep_rejects_grid_reaching_zero_frequency(tmp_path):
 
 
 def test_run_drift_flushes_partial_output_and_exits_2(tmp_path, monkeypatch):
-    monkeypatch.setattr(engine, "DRIFT_TOL", 1e-14)
     spec = load_config(None, {"n_max": 200})
     spec = dataclasses.replace(spec, output_dir=tmp_path / "drift")
+    inject_trace_drift(monkeypatch, [(spec.base, 150)])
     assert run_single(spec, quiet=True) == 2
     summary = json.loads((spec.output_dir / "summary.json").read_text())
     step = summary["error"]["step"]
-    assert 1 <= step < 200
+    assert step == 150
     assert "invariants violated" in summary["error"]["message"]
     rows = (spec.output_dir / "collisions.csv").read_text().splitlines()
     assert rows[0] == COLLISION_HEADER

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -15,8 +16,9 @@ from kdqflux.model import (ANISOTROPIC, ISOTROPIC, CouplingParams, SpinParams,
                            ThermalSpec, collision_unitaries, thermal_state)
 from kdqflux.tomography import COND_THRESHOLD, PROBES, SINGULAR_DET
 from oracles import (density_from_bloch, eigvalsh_density_check,
-                     exp_thermal_state, hermiticity_max, joint_history,
-                     local_hamiltonian, partial_trace, same_bits)
+                     exp_thermal_state, hermiticity_max, inject_trace_drift,
+                     joint_history, local_hamiltonian, partial_trace,
+                     same_bits)
 from test_batched_pipeline import _random_short_config
 
 I2 = np.eye(2, dtype=complex)
@@ -176,50 +178,39 @@ def test_evolve_grid_matches_allocating_reference_loop_bit_for_bit():
         assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
 
 
-def _distinct_crossing_tolerance(configs, states):
-    """The tolerance nearest 1e-14 (in ratio) that a per-collision scan of
-    every point's joint states first exceeds at a distinct collision n > 0,
-    and those collisions.
+# each grid point's first drifting collision under ``inject_trace_drift``:
+# the first one, both sides of the first block edge, one inside the third
+# block, the first of the last block and the last one
+GRID_DRIFT_STEPS = (1, 41, 42, 90, 126, 148)
 
-    The drift of the loop's states depends on the BLAS kernel's rounding,
-    so the tolerance is taken from the states computed here; it lies
-    midway between two deviations the scan found.
-    """
-    joint = joint_history(configs, states, configs[0].n_max)
-    dev = []
-    for p in range(len(configs)):
-        herm, tr, min_eig = _deviations(joint[:, p:p + 1])
-        dev.append(np.maximum(np.maximum(herm, tr), -min_eig).max(axis=1))
-    dev = np.stack(dev)
-    levels = np.unique(dev)
-    options = []
-    for tol in (levels[:-1] + levels[1:]) / 2:
-        above = dev > tol
-        steps = above.argmax(axis=1)
-        if (above.any(axis=1).all() and (steps > 0).all()
-                and len(set(steps)) == len(configs)):
-            options.append((abs(np.log(tol / 1e-14)), tol, steps))
-    assert options, "no tolerance separates the points' first crossings"
-    _, tol, steps = min(options, key=lambda option: option[0])
-    return float(tol), steps.tolist()
+
+def _assert_drift_message(error, step, trace):
+    """``error`` names ``step`` and the trace excess ``trace`` of the
+    injected defect; its hermiticity and minimum eigenvalue are within
+    1e-14 (rounding) of a valid state's."""
+    match = re.fullmatch(
+        r"density-matrix invariants violated at collision (\d+): "
+        r"hermiticity (\S+), trace (\S+), min eigenvalue (\S+)", str(error))
+    assert match and error.step == int(match[1]) == step, str(error)
+    assert match[3] == f"{trace:.2e}"
+    assert float(match[2]) <= 1e-14 and float(match[4]) >= -1e-14
 
 
 def test_evolve_grid_drifting_point_fails_alone(monkeypatch):
-    # under a bound near 1e-14 every grid point drifts, each at its own step
-    states = PROBES
-    tol, steps = _distinct_crossing_tolerance(GRID, states)
-    full, _ = evolve_grid(GRID, states)   # default bound
-    monkeypatch.setattr(engine, "DRIFT_TOL", tol)
+    # every grid point drifts, each at its own step
+    states = np.concatenate([I2[np.newaxis] / 2, PROBES])
+    traces = inject_trace_drift(monkeypatch, zip(GRID, GRID_DRIFT_STEPS))
+    with monkeypatch.context() as patch:   # the same states, unchecked
+        patch.setattr(engine, "_check_block", lambda *args: None)
+        full, _ = evolve_grid(GRID, states)
     history, errors = evolve_grid(GRID, states)
-    assert [error.step for error in errors] == steps
-    assert len({error.step for error in errors}) == len(GRID)
     for p, (config, error) in enumerate(zip(GRID, errors)):
         assert isinstance(error, InvariantDriftError)
+        _assert_drift_message(error, GRID_DRIFT_STEPS[p], traces[p])
         with pytest.raises(InvariantDriftError) as exc_info:
             evolve(config, states)
         assert error.step == exc_info.value.step
         assert str(error) == str(exc_info.value)
-        assert 0 < error.step <= GRID_N_MAX
         assert np.array_equal(history[:error.step, p], full[:error.step, p])
 
 
@@ -238,29 +229,17 @@ def _deviations(joint):
 def test_single_run_drift_is_found_across_its_longer_blocks(monkeypatch, block,
                                                             first):
     # a single run checks its five trajectories CHECK_STATES // 5 = 256
-    # collisions at a time; the bound is lowered to the largest deviation of
-    # collisions 0..first-1, so the first state past it lies in the given
-    # block, and the loop must name it as a per-collision scan does
+    # collisions at a time; the injected drift first shows at collision
+    # `first`, inside block 0 or at the first collision of block 1, and the
+    # loop must name it
     size = CHECK_STATES // 5
-    assert size == 256
-    n_max = 2 * size + 20
-    config = RunConfig(n_max=n_max)
+    assert size == 256 and first // size == block
+    config = RunConfig(n_max=2 * size + 20)
     states = np.concatenate([config.initial_system[np.newaxis], PROBES])
-    herm, tr, min_eig = _deviations(joint_history([config], states, n_max))
-    tol = float(max(herm[:first].max(), tr[:first].max(),
-                    -min_eig[:first].min()))
-    bad = (herm > tol) | (tr > tol) | (min_eig < -tol)
-    step = int(np.argmax(bad.any(axis=1)))
-    assert first <= step and step // size == block
-    i = int(np.argmax(bad[step]))
-    monkeypatch.setattr(engine, "DRIFT_TOL", tol)
+    (trace,) = inject_trace_drift(monkeypatch, [(config, first)])
     with pytest.raises(InvariantDriftError) as exc_info:
         evolve(config, states)
-    assert exc_info.value.step == step
-    assert str(exc_info.value) == (
-        f"density-matrix invariants violated at collision {step}: "
-        f"hermiticity {herm[step, i]:.2e}, trace {tr[step, i]:.2e}, "
-        f"min eigenvalue {min_eig[step, i]:.2e}")
+    _assert_drift_message(exc_info.value, first, trace)
 
 
 def test_evolve_grid_non_finite_point_fails_alone(monkeypatch):
@@ -293,11 +272,10 @@ def _state_with_min_eig(lam_min, rotation):
     return (rho + rho.conj().T) / 2
 
 
-def _check_alone(state, tol=DRIFT_TOL):
+def _check_alone(state):
     """``_check_block`` on one state, as one collision of one point."""
     errors = [None]
-    _check_block(state[np.newaxis, np.newaxis, np.newaxis], 5,
-                 tol, errors)
+    _check_block(state[np.newaxis, np.newaxis, np.newaxis], 5, errors)
     return errors[0]
 
 
@@ -324,22 +302,6 @@ def test_drift_check_flags_exactly_the_eigenvalue_rule():
     assert flagged[levels[1]] == flagged[0.0] == 0
 
 
-def test_drift_check_state_failing_cholesky_but_not_eigvalsh_passes():
-    tol = DRIFT_TOL
-    state = _state_with_min_eig(-tol, np.eye(4))
-    with pytest.raises(np.linalg.LinAlgError):
-        np.linalg.cholesky(state + tol * np.eye(4))
-    assert np.linalg.eigvalsh(state).min() == -tol
-    assert _check_alone(state) is None
-    # the same state as one collision of a clean block of three points
-    clean = _state_with_min_eig(0.1, np.eye(4))
-    block = np.broadcast_to(clean, (4, 3, 2, 4, 4)).copy()
-    block[2, 1, 0] = state
-    errors = [None] * 3
-    _check_block(block, 0, tol, errors)
-    assert errors == [None] * 3
-
-
 def _boundary_states(rng, tol):
     """Random rotated states with their minimum eigenvalue at and around
     -tol (one level ROUNDING_MARGIN above it, just inside the bound), at 0
@@ -363,14 +325,22 @@ def test_eigenvalue_rule_in_multi_point_blocks():
     tol = DRIFT_TOL
     cases = _boundary_states(rng, tol)
     clean = _state_with_min_eig(0.1, np.eye(4)).astype(complex)
+    blocks = []
     for _ in range(20):
         block = np.broadcast_to(clean, (8, 3, 5, 4, 4)).copy()
         picks = rng.choice(len(cases), size=6, replace=False)
         for pick in picks:
             block[tuple(rng.integers(0, (8, 3, 5)))] = cases[pick]
+        blocks.append(block)
+    # and, in a clean block, a diagonal state at exactly -tol, which passes
+    edge = _state_with_min_eig(-tol, np.eye(4))
+    assert np.linalg.eigvalsh(edge).min() == -tol
+    blocks.append(np.broadcast_to(clean, (8, 3, 5, 4, 4)).copy())
+    blocks[-1][2, 1, 0] = edge
+    for block in blocks:
         min_eig = np.linalg.eigvalsh(block).min(axis=-1)
         errors = [None] * 3
-        _check_block(block, 64, tol, errors)
+        _check_block(block, 64, errors)
         for p in range(3):
             bad = (min_eig[:, p] < -tol).reshape(-1)
             if not bad.any():
@@ -397,7 +367,7 @@ def test_drift_check_reports_the_first_bad_collision(defect, message):
         bad[0, 1] = 2e-8j       # eigvalsh reads the lower triangle only
     block[4, 1, 2] = block[5, 1, 0] = bad
     errors = [None, None]
-    _check_block(block, 128, DRIFT_TOL, errors)
+    _check_block(block, 128, errors)
     assert errors[0] is None
     assert errors[1].step == 132
     assert str(errors[1]) == (
@@ -505,12 +475,13 @@ def test_ring_of_one_or_two_slots_gives_the_same_results(monkeypatch, slots):
     # denied the errors, are those of the default ring, which holds 256 or
     # 42 collisions here
     states = np.concatenate([I2[np.newaxis] / 2, PROBES])
-    for configs in ([RunConfig()], GRID):
+    for configs, steps in (([RunConfig()], [700]), (GRID, GRID_DRIFT_STEPS)):
         n1 = configs[0].n_max + 1
-        for tol in (DRIFT_TOL, 3e-14, 1e-14):
-            monkeypatch.setattr(engine, "DRIFT_TOL", tol)
-            want, want_errors = evolve_grid(configs, states)
+        for denied in (False, True):
             with monkeypatch.context() as patch:
+                if denied:
+                    inject_trace_drift(patch, zip(configs, steps))
+                want, want_errors = evolve_grid(configs, states)
                 patch.setattr(engine, "CHECK_STATES",
                               slots * len(configs) * len(states))
                 spy = _Spy(patch)
@@ -518,11 +489,10 @@ def test_ring_of_one_or_two_slots_gives_the_same_results(monkeypatch, slots):
             assert same_bits(got, want)
             assert [(e.step, str(e)) for e in errors if e] == [
                 (e.step, str(e)) for e in want_errors if e]
-            # certified at DRIFT_TOL, checked one block of `slots` at a time
-            # below it, where some point drifts
-            denied = tol < DRIFT_TOL
+            # certified without the defect; with it, checked one block of
+            # `slots` at a time, and every point drifts at its own step
             assert spy.checks == denied * -(-n1 // slots)
-            assert any(errors) == denied
+            assert [e.step for e in errors if e] == denied * list(steps)
 
 
 def test_memory_trace_reads_zeros_as_a_sum_from_zero(monkeypatch):
